@@ -1,8 +1,9 @@
 """History datastore backends compared (the §7 bottleneck, itemised).
 
-Times a full history-aware voting round against every store backend —
-in-memory, JSONL append log, SQLite, and the write-behind cache over
-each durable backend — and checks the ordering a deployment would base
+Times a full history-aware voting round against every store backing
+behind :class:`TieredHistoryStore` — memory, SQLite and packed, each
+write-through and (for the durable ones) with write-behind batching
+(``flush_every=16``) — and checks the ordering a deployment would base
 its choice on.
 """
 
@@ -12,16 +13,20 @@ import itertools
 import time
 
 from repro.analysis.report import render_table
-from repro.history.cached import WriteBehindStore
-from repro.history.file import JsonlHistoryStore
-from repro.history.memory import MemoryHistoryStore
-from repro.history.packed import PackedHistoryStore
-from repro.history.sqlite import SqliteHistoryStore
-from repro.history.tiered import TieredHistoryStore
+from repro.history import (
+    MemoryStateStore,
+    PackedHistoryStore,
+    SqliteStateStore,
+    TieredHistoryStore,
+)
 from repro.types import Round
 from repro.voting.hybrid import HybridVoter
 
 VALUES = [18.0, 18.1, 17.9, 18.15, 18.05]
+
+
+def _tiered(backing, flush_every=1):
+    return TieredHistoryStore(backing, flush_every=flush_every).store_for("s")
 
 
 def _time_store(store, n=200):
@@ -39,34 +44,18 @@ def test_store_backend_comparison(benchmark, tmp_path):
         _time_store(None, n=100)  # warm caches before comparing
         return {
             "none (in-process)": _time_store(None),
-            "memory": _time_store(MemoryHistoryStore()),
-            "jsonl": _time_store(
-                JsonlHistoryStore(tmp_path / "a.jsonl", compact_after=512)
+            "tiered(memory)": _time_store(_tiered(MemoryStateStore())),
+            "tiered(sqlite)": _time_store(
+                _tiered(SqliteStateStore(tmp_path / "a.db"))
             ),
-            "sqlite": _time_store(SqliteHistoryStore(tmp_path / "a.db")),
-            "jsonl+write-behind": _time_store(
-                WriteBehindStore(
-                    JsonlHistoryStore(tmp_path / "b.jsonl", compact_after=512),
-                    flush_every=16,
-                )
-            ),
-            "sqlite+write-behind": _time_store(
-                WriteBehindStore(
-                    SqliteHistoryStore(tmp_path / "b.db"), flush_every=16
-                )
-            ),
-            "packed": _time_store(
-                PackedHistoryStore(tmp_path / "packed").store_for("s")
+            "tiered(sqlite)+flush16": _time_store(
+                _tiered(SqliteStateStore(tmp_path / "b.db"), flush_every=16)
             ),
             "tiered(packed)": _time_store(
-                TieredHistoryStore(
-                    PackedHistoryStore(tmp_path / "tiered")
-                ).store_for("s")
+                _tiered(PackedHistoryStore(tmp_path / "tiered"))
             ),
             "tiered(packed)+flush16": _time_store(
-                TieredHistoryStore(
-                    PackedHistoryStore(tmp_path / "tiered16"), flush_every=16
-                ).store_for("s")
+                _tiered(PackedHistoryStore(tmp_path / "tiered16"), flush_every=16)
             ),
         }
 
@@ -76,32 +65,17 @@ def test_store_backend_comparison(benchmark, tmp_path):
     print(render_table(["backend", "µs/round"], rows))
 
     # Only orderings with large expected effect sizes are asserted —
-    # these are micro-benchmarks on a shared host, and small deltas
-    # (e.g. WAL-mode SQLite vs its write-behind wrapper) sit inside the
-    # scheduling jitter.
+    # these are micro-benchmarks on a shared host, and small deltas sit
+    # inside the scheduling jitter.
     slack = 1.10
-    assert timings["none (in-process)"] <= timings["jsonl"] * slack
-    assert timings["jsonl+write-behind"] <= timings["jsonl"] * slack
-    # The write-behind wrapper never costs more than ~50 % over its
+    assert timings["none (in-process)"] <= timings["tiered(sqlite)"] * slack
+    assert timings["tiered(sqlite)+flush16"] <= timings["tiered(sqlite)"] * slack
+    # Write-behind batching never costs more than ~50 % over its
     # backing store (it only adds dict copies between flushes).
-    assert timings["sqlite+write-behind"] <= timings["sqlite"] * 1.5
-    assert timings["jsonl"] > timings["none (in-process)"] * 0.9
+    assert timings["tiered(sqlite)+flush16"] <= timings["tiered(sqlite)"] * 1.5
+    assert timings["tiered(sqlite)"] > timings["none (in-process)"] * 0.9
     # Batching writes through the tiered hot set must not cost more
     # than the write-through path (it skips 15 of 16 block appends).
     assert (
         timings["tiered(packed)+flush16"] <= timings["tiered(packed)"] * 1.1
     )
-
-
-def test_jsonl_log_growth_is_bounded_by_compaction(benchmark, tmp_path):
-    def run():
-        store = JsonlHistoryStore(tmp_path / "grow.jsonl", compact_after=64)
-        voter = HybridVoter(history_store=store)
-        counter = itertools.count()
-        for _ in range(400):
-            voter.vote(Round.from_values(next(counter), VALUES))
-        return store.snapshot_count()
-
-    snapshots = benchmark.pedantic(run, iterations=1, rounds=1)
-    print(f"\nJSONL snapshots on disk after 400 rounds: {snapshots}")
-    assert snapshots <= 64

@@ -14,7 +14,7 @@ import itertools
 
 import pytest
 
-from repro.history.file import JsonlHistoryStore
+from repro.history import SqliteStateStore, TieredHistoryStore
 from repro.types import Round
 from repro.voting.avoc import AvocVoter
 from repro.voting.hybrid import HybridVoter
@@ -22,6 +22,13 @@ from repro.voting.standard import StandardVoter
 from repro.voting.stateless import MeanVoter
 
 VALUES = [18.0, 18.1, 17.9, 18.15, 18.05]
+
+
+def _sqlite_store(path, flush_every=1):
+    """A SQLite-backed per-series view (the on-device datastore of §7)."""
+    return TieredHistoryStore(
+        SqliteStateStore(path), flush_every=flush_every
+    ).store_for("s")
 
 
 def _rounds():
@@ -63,18 +70,15 @@ def test_avoc_round_latency(benchmark):
 
 def test_store_backed_round_latency(benchmark, tmp_path):
     """The datastore write is the bottleneck, exactly as §7 states."""
-    store = JsonlHistoryStore(tmp_path / "history.jsonl", compact_after=512)
-    voter = HybridVoter(history_store=store)
+    voter = HybridVoter(history_store=_sqlite_store(tmp_path / "history.db"))
     next_round = _rounds()
     benchmark(lambda: voter.vote(next_round()))
     assert benchmark.stats["mean"] < 50e-3
 
 
 def test_write_behind_cache_recovers_most_of_the_cost(benchmark, tmp_path):
-    """The write-behind cache amortises the datastore bottleneck."""
+    """Write-behind batching amortises the datastore bottleneck."""
     import time
-
-    from repro.history.cached import WriteBehindStore
 
     def time_voter(voter, n=300):
         next_round = _rounds()
@@ -85,18 +89,11 @@ def test_write_behind_cache_recovers_most_of_the_cost(benchmark, tmp_path):
 
     def measure():
         direct = time_voter(
-            HybridVoter(
-                history_store=JsonlHistoryStore(
-                    tmp_path / "direct.jsonl", compact_after=512
-                )
-            )
+            HybridVoter(history_store=_sqlite_store(tmp_path / "direct.db"))
         )
         cached = time_voter(
             HybridVoter(
-                history_store=WriteBehindStore(
-                    JsonlHistoryStore(tmp_path / "cached.jsonl", compact_after=512),
-                    flush_every=16,
-                )
+                history_store=_sqlite_store(tmp_path / "cached.db", flush_every=16)
             )
         )
         memory = time_voter(HybridVoter())
@@ -129,11 +126,7 @@ def test_latency_ordering_matches_paper(benchmark, tmp_path):
         stateless = time_voter(MeanVoter())
         history = time_voter(HybridVoter())
         backed = time_voter(
-            HybridVoter(
-                history_store=JsonlHistoryStore(
-                    tmp_path / "h.jsonl", compact_after=512
-                )
-            )
+            HybridVoter(history_store=_sqlite_store(tmp_path / "h.db"))
         )
         return stateless, history, backed
 

@@ -3,8 +3,9 @@
 Three recorded sections, written to ``BENCH_store.json``:
 
 * **cold_start** — wall-clock to rehydrate every series' state from a
-  cold store: the packed mmap-segment store versus the historical
-  one-JSONL-log-per-series layout, at ``STORE_BENCH_SERIES`` series
+  cold store: the packed mmap-segment store versus the legacy
+  one-JSONL-log-per-series layout (read through the ``avoc store
+  migrate`` reader), at ``STORE_BENCH_SERIES`` series
   (default 100k; the env knob lets the CI smoke run smaller).  Floor:
   packed >= 5x faster.  Enforced only at >= 50k series — tiny
   populations measure file-system noise, so smaller runs record honest
@@ -23,6 +24,7 @@ Three recorded sections, written to ``BENCH_store.json``:
 
 from __future__ import annotations
 
+import json
 import os
 import pathlib
 import random
@@ -30,11 +32,8 @@ import time
 import tracemalloc
 
 from benchmarks.baseline_io import merge_baseline
-from repro.history import (
-    JsonlStateStore,
-    PackedHistoryStore,
-    TieredHistoryStore,
-)
+from repro.history import PackedHistoryStore, TieredHistoryStore
+from repro.history.migrate import read_legacy_log, series_filename
 from repro.voting.history import HistoryRecords
 
 _OUT = pathlib.Path(__file__).resolve().parent.parent / "BENCH_store.json"
@@ -72,10 +71,15 @@ def test_cold_start_rehydration(benchmark, tmp_path, capsys):
         packed.write(key, records, updates)
     packed.close()
 
-    jsonl = JsonlStateStore(tmp_path / "jsonl")
+    # The legacy layout: one single-snapshot log per series (the line
+    # format has no update counter).
+    legacy = tmp_path / "jsonl"
+    legacy.mkdir()
     for k, key in enumerate(series):
-        records, updates = _state(k)
-        jsonl.write(key, records, updates)
+        records, _ = _state(k)
+        (legacy / series_filename(key)).write_text(
+            json.dumps(records, sort_keys=True) + "\n", encoding="utf-8"
+        )
 
     def cold_packed():
         store = PackedHistoryStore(tmp_path / "packed")
@@ -87,9 +91,10 @@ def test_cold_start_rehydration(benchmark, tmp_path, capsys):
         return elapsed
 
     def cold_jsonl():
-        store = JsonlStateStore(tmp_path / "jsonl")  # fresh: nothing cached
         start = time.perf_counter()
-        loaded = sum(1 for key in series if store.read(key))
+        loaded = sum(
+            1 for key in series if read_legacy_log(legacy / series_filename(key))
+        )
         elapsed = time.perf_counter() - start
         assert loaded == N_SERIES
         return elapsed

@@ -331,7 +331,7 @@ def _cmd_cluster(args) -> int:
     )
     cluster.start()
     host, port = cluster.address
-    store_label = args.store or "jsonl"
+    store_label = args.store or "packed"
     print(
         f"fusion cluster '{spec.algorithm_name}' listening on {host}:{port} "
         f"({args.shards} shards, {args.replicas} replicas, "
@@ -712,8 +712,27 @@ def _cmd_latency(args) -> int:
     return 0
 
 
+def _cmd_store(args) -> int:
+    from .exceptions import ReproError
+    from .history import migrate_jsonl_dir
+
+    try:
+        for directory in args.dirs:
+            counts = migrate_jsonl_dir(directory)
+            print(
+                f"{directory}: migrated {counts['migrated']} series into "
+                f"packed/ ({counts['present']} already present, "
+                f"{counts['missing']} without a history log)"
+            )
+    except ReproError as exc:
+        print(f"store migrate: {exc}", file=sys.stderr)
+        return 1
+    return 0
+
+
 def build_parser() -> argparse.ArgumentParser:
     from . import __version__
+    from .cluster.backend import STORE_KINDS
 
     parser = argparse.ArgumentParser(
         prog="avoc",
@@ -760,6 +779,17 @@ def build_parser() -> argparse.ArgumentParser:
     vdx = sub.add_parser("vdx", help="validate a VDX document / describe the schema")
     vdx.add_argument("file", nargs="?", default=None)
     vdx.add_argument("--describe", action="store_true")
+
+    store = sub.add_parser("store", help="history store maintenance")
+    store_sub = store.add_subparsers(dest="store_command", required=True)
+    migrate = store_sub.add_parser(
+        "migrate",
+        help="import legacy per-series JSONL history into the packed store",
+    )
+    migrate.add_argument(
+        "dirs", nargs="+", metavar="DIR",
+        help="shard history directory (holds series-index.json)",
+    )
 
     simulate = sub.add_parser("simulate", help="run a deployment simulation")
     simulate.add_argument("use_case", choices=("uc1", "uc2"))
@@ -831,10 +861,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="backend isolation (default: process where fork exists)",
     )
     cluster.add_argument(
-        "--store", choices=("packed", "jsonl", "sqlite", "memory"),
-        default=None,
-        help="per-shard history storage tier (default: per-series JSONL "
-        "logs; 'packed' scales to millions of series)",
+        "--store", choices=STORE_KINDS, default=None,
+        help="per-shard history storage tier (default: packed mmap "
+        "segments; legacy JSONL dirs need `avoc store migrate` first)",
     )
     cluster.add_argument(
         "--max-resident-series", type=int, default=None, metavar="N",
@@ -868,10 +897,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="backend isolation (default: process where fork exists)",
     )
     ingest.add_argument(
-        "--store", choices=("packed", "jsonl", "sqlite", "memory"),
-        default=None,
-        help="per-shard history storage tier (default: per-series JSONL "
-        "logs; 'packed' scales to millions of series)",
+        "--store", choices=STORE_KINDS, default=None,
+        help="per-shard history storage tier (default: packed mmap "
+        "segments; legacy JSONL dirs need `avoc store migrate` first)",
     )
     ingest.add_argument(
         "--max-resident-series", type=int, default=None, metavar="N",
@@ -934,9 +962,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="backend isolation for the booted cluster",
     )
     dashboard.add_argument(
-        "--store", choices=("packed", "jsonl", "sqlite", "memory"),
-        default=None,
-        help="per-shard history storage tier for the booted cluster",
+        "--store", choices=STORE_KINDS, default=None,
+        help="per-shard history storage tier for the booted cluster "
+        "(default: packed)",
     )
     dashboard.add_argument("--host", default="127.0.0.1")
     dashboard.add_argument("--port", type=int, default=0)
@@ -968,6 +996,7 @@ _COMMANDS = {
     "compare": _cmd_compare,
     "adversarial": _cmd_adversarial,
     "vdx": _cmd_vdx,
+    "store": _cmd_store,
     "simulate": _cmd_simulate,
     "latency": _cmd_latency,
     "serve": _cmd_serve,

@@ -3,7 +3,8 @@
 :class:`ShardServer` extends the single-engine
 :class:`~repro.service.server.VoterServer` to host one
 :class:`~repro.fusion.engine.FusionEngine` per *series* key, each with
-its own durable history log, and adds the cluster operations:
+durable history state in the shard's store, and adds the cluster
+operations:
 ``vote_batch`` (micro-batched rounds through
 :meth:`~repro.fusion.engine.FusionEngine.process_batch`, the PR-1
 vectorized hot path) and ``sync_history`` (the rebalance/failover
@@ -19,9 +20,9 @@ instead of re-applied, and the replica set's majority answers it.
 
 :class:`ManagedBackend` runs a shard server in a forked subprocess
 (falling back to an in-process thread where ``fork`` is unavailable)
-with liveness probes and restart-on-crash; the per-series history logs
-live on disk, so a restarted shard resumes voting with its reliability
-records intact.
+with liveness probes and restart-on-crash; the history store lives on
+disk, so a restarted shard resumes voting with its reliability records
+and update counters intact.
 """
 
 from __future__ import annotations
@@ -38,13 +39,12 @@ import numpy as np
 from ..exceptions import ReproError
 from ..history import (
     DEFAULT_HOT_SERIES,
-    JsonlStateStore,
     MemoryStateStore,
     PackedHistoryStore,
     SqliteStateStore,
     TieredHistoryStore,
-    series_filename,
 )
+from ..history.migrate import series_filename
 from ..runtime.pool import fork_available
 from ..service.client import VoterClient
 from ..service.protocol import ErrorCode, ProtocolError, ok_response
@@ -56,7 +56,7 @@ from ..vdx.spec import VotingSpec
 __all__ = ["ManagedBackend", "ShardServer", "STORE_KINDS"]
 
 #: Storage tiers selectable per shard (the ``--store`` knob).
-STORE_KINDS = ("packed", "jsonl", "sqlite", "memory")
+STORE_KINDS = ("packed", "sqlite", "memory")
 
 #: Replay-cache payloads kept per series.  Gateway retries are
 #: short-lived (bounded backoff), so a small window is plenty; rounds
@@ -69,11 +69,6 @@ DEFAULT_REPLAY_CACHE_ROUNDS = 1024
 _WATERMARK_COMPACT_EVERY = 4096
 
 
-# Kept as an alias: the naming scheme moved to repro.history.bulk so the
-# JSONL bulk store shares it, and existing imports keep working.
-_series_filename = series_filename
-
-
 class ShardServer(VoterServer):
     """A voter server hosting many series, one engine per series key.
 
@@ -82,8 +77,7 @@ class ShardServer(VoterServer):
     are routed to that series' engine, created lazily from the same
     VDX spec.  With ``history_dir`` set, each series persists through a
     :class:`~repro.history.tiered.TieredHistoryStore` over the selected
-    ``store`` backing (``jsonl`` by default — the historical
-    one-log-per-series layout; ``packed`` for the mmap segment store
+    ``store`` backing (``packed`` by default — the mmap segment store
     that scales to millions of series; ``sqlite``; ``memory``).
 
     Engine residency is LRU-bounded at ``max_resident_series``: idle
@@ -137,10 +131,10 @@ class ShardServer(VoterServer):
         self, store: Optional[str], maintenance_interval: Optional[float]
     ) -> Optional[TieredHistoryStore]:
         if store is None:
-            # Default: durable shards keep the historical one-JSONL-log-
-            # per-series layout; store-less shards stay store-less so the
-            # vectorized batch kernel (store-free only) stays engaged.
-            store = "jsonl" if self._history_dir is not None else None
+            # Default: durable shards use the packed store; store-less
+            # shards stay store-less so the vectorized batch kernel
+            # (store-free only) stays engaged.
+            store = "packed" if self._history_dir is not None else None
         if store is None:
             return None
         if store not in STORE_KINDS:
@@ -151,8 +145,17 @@ class ShardServer(VoterServer):
             raise ReproError(f"store {store!r} requires a history directory")
         if store == "packed":
             backing = PackedHistoryStore(self._history_dir / "packed")
-        elif store == "jsonl":
-            backing = JsonlStateStore(self._history_dir)
+            if not len(backing) and any(
+                (self._history_dir / series_filename(key)).exists()
+                for key in self._load_series_index()
+            ):
+                # Starting every series fresh would silently drop the
+                # history a pre-packed shard left in per-series logs.
+                backing.close()
+                raise ReproError(
+                    f"{self._history_dir} holds legacy JSONL history logs; "
+                    f"run `avoc store migrate {self._history_dir}` first"
+                )
         elif store == "sqlite":
             backing = SqliteStateStore(self._history_dir / "series-state.db")
         else:
@@ -508,13 +511,8 @@ class ShardServer(VoterServer):
                 wm_path.unlink()
             self._watermark_appends = 0
             return super()._op_reset(request)
-        engine = self._engines.pop(series, None)
-        if engine is not None:
-            history = getattr(engine.voter, "history", None)
-            store = getattr(history, "store", None)
-            if store is not None:
-                store.clear()
-        elif self._tiered is not None:
+        self._engines.pop(series, None)
+        if self._tiered is not None:
             self._tiered.delete(series)
         self._known_series.discard(series)
         self._series_pending.pop(series, None)
@@ -529,11 +527,6 @@ class ShardServer(VoterServer):
 
     def _op_configure(self, request) -> Dict[str, Any]:
         # A scheme swap invalidates every hosted series, records included.
-        for engine in self._engines.values():
-            history = getattr(engine.voter, "history", None)
-            store = getattr(history, "store", None)
-            if store is not None:
-                store.clear()
         if self._tiered is not None:
             self._tiered.clear()
         self._engines.clear()

@@ -51,9 +51,8 @@ class FusionCluster:
             temporary directory (cleaned up on :meth:`stop`) when None.
         mode: backend mode — ``"process"`` (default where ``fork``
             exists) or ``"thread"``.
-        store: per-shard history storage tier — ``"packed"``,
-            ``"jsonl"``, ``"sqlite"`` or ``"memory"`` (default: the
-            historical per-series JSONL logs).
+        store: per-shard history storage tier — ``"packed"``
+            (default), ``"sqlite"`` or ``"memory"``.
         max_resident_series: per-shard LRU bound on live engines / hot
             history states; ``None`` keeps everything resident.
         maintenance_interval: when set, each shard runs a background

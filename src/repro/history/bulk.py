@@ -1,48 +1,28 @@
 """Non-packed :class:`SeriesStateStore` backings.
 
-These adapt the existing single-series backends to the bulk
-(many-series) interface consumed by
-:class:`~repro.history.tiered.TieredHistoryStore`, so the cluster's
-``--store`` knob can choose between storage tiers without the shard
-code caring:
+Both plug into :class:`~repro.history.tiered.TieredHistoryStore` like
+the packed store does, so the cluster's ``--store`` knob can choose a
+storage tier without the shard code caring:
 
 * :class:`MemoryStateStore` — a dict; state survives engine eviction
   but dies with the process.
-* :class:`JsonlStateStore` — the legacy one-JSONL-log-per-series
-  layout (same file names the shards always used, so pre-existing
-  history directories keep working).  The JSONL line format cannot
-  carry the update counter; rehydrated series report ``updates == 0``,
-  exactly as a restarted shard always has.
 * :class:`SqliteStateStore` — one SQLite database for the whole shard
-  with per-series record rows and an update-counter table.
+  with per-series record rows and an update-counter table: a real
+  transactional on-device datastore, the paper's §7 bottleneck made
+  concrete.
 """
 
 from __future__ import annotations
 
-import hashlib
-import re
 import sqlite3
 import threading
 from pathlib import Path
 from typing import Dict, Mapping, Optional, Tuple, Union
 
 from ..exceptions import HistoryStoreError
-from .file import JsonlHistoryStore
 from .store import SeriesState, SeriesStateStore
 
-__all__ = [
-    "JsonlStateStore",
-    "MemoryStateStore",
-    "SqliteStateStore",
-    "series_filename",
-]
-
-
-def series_filename(series: str) -> str:
-    """A filesystem-safe, collision-free log name for a series key."""
-    slug = re.sub(r"[^A-Za-z0-9_.-]", "_", series)[:48]
-    digest = hashlib.blake2b(series.encode("utf-8"), digest_size=6).hexdigest()
-    return f"{slug}-{digest}.jsonl"
+__all__ = ["MemoryStateStore", "SqliteStateStore"]
 
 
 class MemoryStateStore(SeriesStateStore):
@@ -75,68 +55,6 @@ class MemoryStateStore(SeriesStateStore):
     def clear(self) -> None:
         with self._lock:
             self._states.clear()
-
-
-class JsonlStateStore(SeriesStateStore):
-    """Bulk adapter over the legacy per-series JSONL append logs.
-
-    ``series()`` only enumerates series written through this process —
-    the hashed file names cannot be inverted — so callers that need
-    cold-start enumeration (the shard server) keep their own series
-    index, as they always have.  ``read`` works cold for any series.
-    """
-
-    def __init__(
-        self, directory: Union[str, Path], compact_after: Optional[int] = 1000
-    ):
-        self.directory = Path(directory)
-        self.compact_after = compact_after
-        self._stores: Dict[str, JsonlHistoryStore] = {}
-        self._lock = threading.Lock()
-
-    def _store(self, series: str, cache: bool = True) -> JsonlHistoryStore:
-        with self._lock:
-            store = self._stores.get(series)
-            if store is None:
-                store = JsonlHistoryStore(
-                    self.directory / series_filename(series),
-                    compact_after=self.compact_after,
-                )
-                if cache:
-                    self._stores[series] = store
-            return store
-
-    def read(self, series: str) -> Optional[SeriesState]:
-        # Probing reads must not cache: a miss would otherwise register
-        # a phantom series that ``series()`` then enumerates.
-        records = self._store(series, cache=False).load()
-        if not records:
-            return None
-        return records, 0  # the line format has no update counter
-
-    def write(self, series: str, records: Mapping[str, float], updates: int) -> None:
-        self._store(series).save(records)
-
-    def delete(self, series: str) -> None:
-        self._store(series).clear()
-        with self._lock:
-            self._stores.pop(series, None)
-
-    def series(self) -> Tuple[str, ...]:
-        with self._lock:
-            return tuple(sorted(self._stores))
-
-    def compact(self) -> None:
-        with self._lock:
-            stores = list(self._stores.values())
-        for store in stores:
-            store.compact()
-
-    def clear(self) -> None:
-        with self._lock:
-            stores, self._stores = list(self._stores.values()), {}
-        for store in stores:
-            store.clear()
 
 
 _SCHEMA = """

@@ -1,11 +1,12 @@
 """Packed, memory-mapped bulk store for per-series history state.
 
-The JSONL backend keeps **one append-log file per series**; at 10\\ :sup:`5`
-– 10\\ :sup:`6` series a shard pays one ``open``/``read`` per series on
-cold start and the directory itself becomes the bottleneck.  This
-module packs every series of a shard into a handful of **append-only
-segment files** read through ``mmap``, with a compacting index log
-mapping ``series key -> (segment, offset, length)``:
+The legacy JSONL layout kept **one append-log file per series**; at
+10\\ :sup:`5` – 10\\ :sup:`6` series a shard pays one ``open``/``read``
+per series on cold start and the directory itself becomes the
+bottleneck.  This module packs every series of a shard into a handful
+of **append-only segment files** read through ``mmap``, with a
+compacting index log mapping ``series key -> (segment, offset,
+length)``:
 
 ``seg-NNNNNN.pack``
     Append-only segment files holding binary record blocks.  A save
@@ -45,6 +46,7 @@ Block layout (little-endian)::
 
 from __future__ import annotations
 
+import functools
 import io
 import json
 import mmap
@@ -58,9 +60,9 @@ from typing import Dict, List, Mapping, Optional, Tuple, Union
 
 from ..exceptions import HistoryStoreError
 from ..util import atomic_write
-from .store import HistoryStore, SeriesState, SeriesStateStore
+from .store import SeriesState, SeriesStateStore
 
-__all__ = ["PackedHistoryStore", "PackedSeriesStore"]
+__all__ = ["PackedHistoryStore"]
 
 _MAGIC = b"AVH1"
 _HEADER = struct.Struct("<4sII")  # magic, payload length, payload crc32
@@ -88,6 +90,21 @@ def _encode_block(series: str, records: Mapping[str, float], updates: int) -> by
     return _HEADER.pack(_MAGIC, len(payload), zlib.crc32(payload)) + payload
 
 
+@functools.lru_cache(maxsize=64)
+def _decode_names(blob: bytes, n_modules: int) -> Tuple[str, ...]:
+    """Module names of a block; cached, since a shard's rosters repeat."""
+    names: List[str] = []
+    pos = 0
+    for _ in range(n_modules):
+        (name_len,) = _U16.unpack_from(blob, pos)
+        pos += _U16.size
+        names.append(blob[pos: pos + name_len].decode("utf-8"))
+        pos += name_len
+    if pos != len(blob):
+        raise HistoryStoreError("block payload has trailing bytes")
+    return tuple(names)
+
+
 def _decode_block(buffer: bytes, offset: int, length: int) -> Tuple[str, Dict[str, float], int]:
     """Decode one block; raises ``HistoryStoreError`` on any corruption."""
     if offset < 0 or offset + length > len(buffer):
@@ -109,15 +126,9 @@ def _decode_block(buffer: bytes, offset: int, length: int) -> Tuple[str, Dict[st
     pos += series_len
     updates, n_modules = _META.unpack_from(payload, pos)
     pos += _META.size
-    names: List[str] = []
-    for _ in range(n_modules):
-        (name_len,) = _U16.unpack_from(payload, pos)
-        pos += _U16.size
-        names.append(payload[pos: pos + name_len].decode("utf-8"))
-        pos += name_len
-    values = struct.unpack_from(f"<{n_modules}d", payload, pos)
-    if pos + 8 * n_modules != len(payload):
-        raise HistoryStoreError("block payload has trailing bytes")
+    values_at = len(payload) - 8 * n_modules
+    names = _decode_names(payload[pos: values_at], n_modules)
+    values = struct.unpack_from(f"<{n_modules}d", payload, values_at)
     return series, dict(zip(names, values)), int(updates)
 
 
@@ -512,40 +523,3 @@ class PackedHistoryStore(SeriesStateStore):
             self._live_bytes.pop(segment, None)
         self.compactions += 1
         self.last_compaction_seconds = time.perf_counter() - started
-
-    # -- per-series adapter ------------------------------------------------
-
-    def store_for(self, series: str) -> "PackedSeriesStore":
-        """A per-series :class:`HistoryStore` view over this bulk store."""
-        return PackedSeriesStore(self, series)
-
-
-class PackedSeriesStore(HistoryStore):
-    """One series' view of a :class:`PackedHistoryStore`.
-
-    Implements the extended state protocol (``load_state`` /
-    ``save_state``) so attached
-    :class:`~repro.voting.history.HistoryRecords` persist their update
-    counter and rehydrate bit-identically.
-    """
-
-    def __init__(self, backing: PackedHistoryStore, series: str):
-        self.backing = backing
-        self.series = series
-
-    def load_state(self) -> Optional[SeriesState]:
-        return self.backing.read(self.series)
-
-    def save_state(self, records: Mapping[str, float], updates: int) -> None:
-        self.backing.write(self.series, records, updates)
-
-    def load(self) -> Dict[str, float]:
-        state = self.backing.read(self.series)
-        return state[0] if state is not None else {}
-
-    def save(self, records: Mapping[str, float]) -> None:
-        state = self.backing.read(self.series)
-        self.backing.write(self.series, records, state[1] if state else 0)
-
-    def clear(self) -> None:
-        self.backing.delete(self.series)

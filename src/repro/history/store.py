@@ -1,33 +1,19 @@
-"""History store interface.
+"""The bulk series-state store interface.
 
-A store persists the mapping ``{module_name: record}`` between voting
-rounds (and across process restarts for durable backends).  Stores are
-deliberately tiny: :class:`~repro.voting.history.HistoryRecords` calls
-``load`` once at attach time and ``save`` after every update round,
-mirroring the read/update/write cycle of the paper's deployment.
+A store persists the state of *many* series — one shard's whole
+population — as ``{series: (records, update_counter)}``.  Voting code
+never talks to a store directly: :class:`~repro.voting.history.HistoryRecords`
+attaches to a one-series view
+(:meth:`~repro.history.tiered.TieredHistoryStore.store_for`) and calls
+``load_state`` once at attach time and ``save_state`` after every
+update round, mirroring the read/update/write cycle of the paper's
+deployment.
 """
 
 from __future__ import annotations
 
 import abc
 from typing import Dict, Mapping, Optional, Tuple
-
-
-class HistoryStore(abc.ABC):
-    """Abstract persistence backend for history records."""
-
-    @abc.abstractmethod
-    def load(self) -> Dict[str, float]:
-        """Return all persisted records (empty dict when none exist)."""
-
-    @abc.abstractmethod
-    def save(self, records: Mapping[str, float]) -> None:
-        """Persist the full current record mapping."""
-
-    @abc.abstractmethod
-    def clear(self) -> None:
-        """Remove every persisted record."""
-
 
 #: Per-series state as persisted by a :class:`SeriesStateStore`: the
 #: record mapping plus the update-round counter (the AVOC bootstrap
@@ -41,10 +27,9 @@ class SeriesStateStore(abc.ABC):
 
     This is the storage tier behind
     :class:`~repro.history.tiered.TieredHistoryStore`: one directory /
-    database / address space for an entire shard's series population,
-    instead of one :class:`HistoryStore` object-per-series.  A shard
-    hosting 10\\ :sup:`6` series keeps only its hot set resident and
-    reads the rest through this interface on demand.
+    database / address space for an entire shard's series population.
+    A shard hosting 10\\ :sup:`6` series keeps only its hot set resident
+    and reads the rest through this interface on demand.
     """
 
     @abc.abstractmethod

@@ -1,14 +1,13 @@
 """LRU-tiered front for a bulk :class:`SeriesStateStore`.
 
 A shard hosting a million series cannot keep a million live
-:class:`~repro.voting.history.HistoryRecords` (or a million open JSONL
-logs) resident.  :class:`TieredHistoryStore` splits the population into
-two tiers:
+:class:`~repro.voting.history.HistoryRecords` resident.
+:class:`TieredHistoryStore` splits the population into two tiers:
 
 * a **hot set** — an LRU-ordered dict of at most ``hot_series`` states,
   served without touching storage;
 * the **backing** :class:`~repro.history.store.SeriesStateStore`
-  (packed segments, SQLite, JSONL directory, memory) holding everyone.
+  (packed segments, SQLite, memory) holding everyone.
 
 Writes land in the hot set and are flushed through to the backing
 every ``flush_every`` saves per series (default 1 = write-through, the
@@ -17,10 +16,10 @@ are written back if dirty and rehydrate transparently on the next
 read, bit-identically — state is ``(records, update_counter)``, so a
 rehydrated engine is indistinguishable from one that never left memory.
 
-A :class:`TieredSeriesStore` view (from :meth:`store_for`) adapts one
-series to the single-series ``HistoryStore`` protocol plus the
-extended ``load_state``/``save_state`` pair, which is what
-``HistoryRecords`` attaches to.
+A :class:`TieredSeriesStore` view (from :meth:`store_for`) is the one
+per-series store: its ``load_state``/``save_state``/``clear`` protocol
+is what ``HistoryRecords`` attaches to.  Write-behind batching is
+``flush_every`` > 1.
 
 An optional maintenance thread periodically compacts the backing store
 (reclaiming dead packed-segment space) and runs a caller-supplied hook
@@ -37,7 +36,7 @@ from typing import Callable, Dict, Mapping, Optional, Tuple
 
 from ..exceptions import HistoryStoreError
 from ..obs import StoreInstruments, get_default_registry
-from .store import HistoryStore, SeriesState, SeriesStateStore
+from .store import SeriesState, SeriesStateStore
 
 __all__ = ["TieredHistoryStore", "TieredSeriesStore", "DEFAULT_HOT_SERIES"]
 
@@ -67,9 +66,8 @@ class TieredHistoryStore:
             disables eviction (everything stays resident).
         flush_every: write a series through to the backing every this
             many saves.  1 (default) is write-through — every update
-            round is durable, matching the historical per-round JSONL
-            append.  Larger values batch writes and rely on eviction /
-            :meth:`flush` / :meth:`close` for durability.
+            round is durable.  Larger values batch writes and rely on
+            eviction / :meth:`flush` / :meth:`close` for durability.
         registry: metrics registry for :class:`StoreInstruments`
             (defaults to the process-global registry).
         maintenance_interval: when set, a daemon thread calls
@@ -284,17 +282,16 @@ class TieredHistoryStore:
     # -- per-series views -------------------------------------------------
 
     def store_for(self, series: str) -> "TieredSeriesStore":
-        """A single-series ``HistoryStore`` view over this tiered store."""
+        """The one-series view a ``HistoryRecords`` attaches to."""
         return TieredSeriesStore(self, series)
 
 
-class TieredSeriesStore(HistoryStore):
-    """One series of a :class:`TieredHistoryStore` as a ``HistoryStore``.
+class TieredSeriesStore:
+    """One series of a :class:`TieredHistoryStore`.
 
-    Implements the extended ``load_state``/``save_state`` protocol, so
-    an attached :class:`~repro.voting.history.HistoryRecords` restores
-    both its records and its update counter — the bit-identity
-    requirement for transparent evict/rehydrate.
+    ``load_state``/``save_state`` carry the records *and* the update
+    counter, so an attached :class:`~repro.voting.history.HistoryRecords`
+    rehydrates bit-identically after eviction or restart.
     """
 
     def __init__(self, tiered: TieredHistoryStore, series: str):
@@ -306,15 +303,6 @@ class TieredSeriesStore(HistoryStore):
 
     def save_state(self, records: Mapping[str, float], updates: int) -> None:
         self.tiered.put_state(self.series, records, updates)
-
-    def load(self) -> Dict[str, float]:
-        state = self.load_state()
-        return state[0] if state is not None else {}
-
-    def save(self, records: Mapping[str, float]) -> None:
-        state = self.tiered.get_state(self.series)
-        updates = state[1] if state is not None else 0
-        self.save_state(records, updates)
 
     def clear(self) -> None:
         self.tiered.delete(self.series)

@@ -204,7 +204,8 @@ class VoterServer:
         spec: the voting scheme this service hosts.
         host: bind address (default loopback).
         port: bind port; 0 picks a free port (see :attr:`address`).
-        history_store: optional persistent record backend.
+        history_store: optional per-series store view
+            (:meth:`~repro.history.TieredHistoryStore.store_for`).
         registry: metrics registry for the service *and* its engine
             (default: the process-global registry from :mod:`repro.obs`).
 

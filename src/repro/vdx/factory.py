@@ -65,8 +65,9 @@ def build_voter(spec: VotingSpec, history_store=None) -> Voter:
 
     Args:
         spec: a validated voting specification.
-        history_store: optional persistent backend forwarded to
-            history-aware voters.
+        history_store: optional per-series store view
+            (:meth:`~repro.history.TieredHistoryStore.store_for`)
+            forwarded to history-aware voters.
 
     Raises:
         SpecificationError: when the spec encodes a combination the

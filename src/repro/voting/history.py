@@ -13,9 +13,11 @@ Two update policies are provided:
 * ``ema`` — exponential moving average of the agreement score; smoother
   but asymptotic (never exactly reaches the extremes).
 
-Records can be attached to a :class:`~repro.history.store.HistoryStore`
-so every update is persisted, mirroring the paper's datastore-backed
-deployment (its stated latency bottleneck).
+Records can be attached to a per-series store view
+(:meth:`~repro.history.tiered.TieredHistoryStore.store_for`: anything
+with ``load_state``/``save_state``/``clear``) so every update is
+persisted, mirroring the paper's datastore-backed deployment (its
+stated latency bottleneck).
 
 Storage layout
 --------------
@@ -51,7 +53,7 @@ class HistoryRecords:
         penalty: additive decrement applied scaled by the disagreement.
         learning_rate: EMA smoothing factor in (0, 1].
         initial: starting record value for unseen modules (1.0 = trusted).
-        store: optional persistent backend; written through on updates.
+        store: optional per-series store view; written through on updates.
     """
 
     def __init__(
@@ -86,22 +88,16 @@ class HistoryRecords:
         self._updates = 0
         self._store = store
         if store is not None:
-            # Extended store protocol: stores exposing ``load_state`` /
-            # ``save_state`` persist the update counter alongside the
+            # The state carries the update counter alongside the
             # records, so a rehydrated engine is bit-identical to one
-            # that never left memory (the AVOC bootstrap trigger keys on
-            # ``update_count == 0``, which record values alone cannot
-            # restore).  Plain stores keep the legacy records-only cycle.
-            if hasattr(store, "load_state"):
-                state = store.load_state()
-                if state is not None:
-                    records, updates = state
-                    for module, value in records.items():
-                        self._set(module, float(value))
-                    self._updates = int(updates)
-            else:
-                for module, value in store.load().items():
+            # that never left memory (the AVOC bootstrap trigger keys
+            # on ``update_count == 0``).
+            state = store.load_state()
+            if state is not None:
+                records, updates = state
+                for module, value in records.items():
                     self._set(module, float(value))
+                self._updates = int(updates)
 
     # -- slot management --------------------------------------------------
 
@@ -178,18 +174,9 @@ class HistoryRecords:
         return self._store
 
     def persist(self) -> None:
-        """Write the current state through to the attached store.
-
-        Uses the extended ``save_state(records, updates)`` protocol when
-        the store offers it (tiered/packed backends), falling back to
-        the records-only ``save`` otherwise.  No-op without a store.
-        """
-        if self._store is None:
-            return
-        if hasattr(self._store, "save_state"):
+        """Write the current state through to the attached store (if any)."""
+        if self._store is not None:
             self._store.save_state(self.snapshot(), self._updates)
-        else:
-            self._store.save(self.snapshot())
 
     def __len__(self) -> int:
         return len(self._index)

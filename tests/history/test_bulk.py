@@ -1,16 +1,13 @@
-"""Tests for the non-packed bulk series-state backings."""
+"""Tests for the non-packed bulk series-state backings and the legacy
+per-series JSONL layout they replace."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.exceptions import HistoryStoreError
-from repro.history import (
-    JsonlStateStore,
-    MemoryStateStore,
-    SqliteStateStore,
-    series_filename,
-)
+from repro.history import MemoryStateStore, PackedHistoryStore, SqliteStateStore
+from repro.history.migrate import migrate_jsonl_dir, read_legacy_log, series_filename
 
 
 def test_series_filename_is_safe_and_collision_free():
@@ -24,18 +21,16 @@ def test_series_filename_is_safe_and_collision_free():
     assert series_filename(long_a) != series_filename(long_b)
 
 
-@pytest.mark.parametrize("backing", ["memory", "jsonl", "sqlite"])
+@pytest.mark.parametrize("backing", ["memory", "sqlite"])
 def test_bulk_round_trip(backing, tmp_path):
     store = {
         "memory": lambda: MemoryStateStore(),
-        "jsonl": lambda: JsonlStateStore(tmp_path),
         "sqlite": lambda: SqliteStateStore(tmp_path / "s.db"),
     }[backing]()
     assert store.read("a") is None
     store.write("a", {"E1": 0.5, "E2": 1.0}, 7)
     store.write("b", {"E1": 0.25}, 3)
-    expected_updates = 0 if backing == "jsonl" else 7
-    assert store.read("a") == ({"E1": 0.5, "E2": 1.0}, expected_updates)
+    assert store.read("a") == ({"E1": 0.5, "E2": 1.0}, 7)
     assert store.series() == ("a", "b")
     assert "a" in store and "nope" not in store
     assert len(store) == 2
@@ -60,15 +55,17 @@ def test_sqlite_rejects_bad_synchronous(tmp_path):
 
 
 def test_jsonl_reads_cold_without_enumeration(tmp_path):
-    """A fresh adapter can read any series by key, even though it
-    cannot invert the hashed file names to enumerate them."""
-    JsonlStateStore(tmp_path).write("room/42", {"E1": 0.5}, 9)
-    cold = JsonlStateStore(tmp_path)
-    assert cold.series() == ()  # nothing enumerable cold...
-    assert cold.read("room/42") == ({"E1": 0.5}, 0)  # ...but reads work
+    """Any legacy log reads by key, but the hashed file names cannot be
+    inverted: migration enumerates series through the index alone."""
+    (tmp_path / series_filename("room/42")).write_text('{"E1": 0.5}\n')
+    (tmp_path / "series-index.json").write_text("[]")
+    assert read_legacy_log(tmp_path / series_filename("room/42")) == {"E1": 0.5}
+    assert migrate_jsonl_dir(tmp_path)["migrated"] == 0
 
 
 def test_jsonl_uses_legacy_per_series_files(tmp_path):
-    store = JsonlStateStore(tmp_path)
-    store.write("a", {"E1": 0.5}, 1)
-    assert (tmp_path / series_filename("a")).exists()
+    (tmp_path / series_filename("a")).write_text('{"E1": 0.5}\n')
+    (tmp_path / "series-index.json").write_text('["a"]')
+    migrate_jsonl_dir(tmp_path)
+    with PackedHistoryStore(tmp_path / "packed") as packed:
+        assert packed.read("a") == ({"E1": 0.5}, 0)

@@ -1,95 +1,115 @@
-"""Tests for the write-behind caching store."""
+"""Write-behind caching: ``TieredHistoryStore(flush_every=N)``.
+
+Reads come from the hot set and the backing store is only written every
+``flush_every`` saves per series (or on flush/eviction/close).  A crash
+loses at most the unflushed rounds, which history records tolerate by
+design (they re-converge from subsequent agreement).
+"""
 
 from __future__ import annotations
+
+import contextlib
 
 import pytest
 
 from repro.exceptions import HistoryStoreError
-from repro.history.cached import WriteBehindStore
-from repro.history.file import JsonlHistoryStore
-from repro.history.memory import MemoryHistoryStore
+from repro.history import MemoryStateStore, PackedHistoryStore, TieredHistoryStore
+
+
+class CountingStore(MemoryStateStore):
+    def __init__(self):
+        super().__init__()
+        self.reads = 0
+        self.writes = 0
+
+    def read(self, series):
+        self.reads += 1
+        return super().read(series)
+
+    def write(self, series, records, updates):
+        self.writes += 1
+        super().write(series, records, updates)
 
 
 class TestCaching:
     def test_reads_come_from_cache(self):
-        backing = MemoryHistoryStore()
-        backing.save({"E1": 0.5})
-        store = WriteBehindStore(backing, flush_every=100)
-        store.load()
-        loads_before = backing.load_count
+        backing = CountingStore()
+        backing.write("s", {"E1": 0.5}, 1)
+        store = TieredHistoryStore(backing, flush_every=100)
+        store.get_state("s")
+        reads_before = backing.reads
         for _ in range(10):
-            store.load()
-        assert backing.load_count == loads_before  # no further backend reads
+            assert store.get_state("s") == ({"E1": 0.5}, 1)
+        assert backing.reads == reads_before  # no further backend reads
 
     def test_saves_deferred_until_flush_every(self):
-        backing = MemoryHistoryStore()
-        store = WriteBehindStore(backing, flush_every=4)
+        backing = CountingStore()
+        store = TieredHistoryStore(backing, flush_every=4)
         for i in range(3):
-            store.save({"E1": i / 10})
-        assert backing.save_count == 0
-        assert store.pending_saves == 3
-        store.save({"E1": 0.9})
-        assert backing.save_count == 1
-        assert store.pending_saves == 0
-        assert backing.load() == {"E1": 0.9}
+            store.put_state("s", {"E1": i / 10}, i + 1)
+        assert backing.writes == 0
+        assert store.dirty_count == 1
+        store.put_state("s", {"E1": 0.9}, 4)
+        assert backing.writes == 1
+        assert store.dirty_count == 0
+        assert backing.read("s") == ({"E1": 0.9}, 4)
 
     def test_flush_every_one_is_write_through(self):
-        backing = MemoryHistoryStore()
-        store = WriteBehindStore(backing, flush_every=1)
-        store.save({"E1": 0.3})
-        assert backing.save_count == 1
+        backing = CountingStore()
+        store = TieredHistoryStore(backing, flush_every=1)
+        store.put_state("s", {"E1": 0.3}, 1)
+        assert backing.writes == 1
 
     def test_explicit_flush(self):
-        backing = MemoryHistoryStore()
-        store = WriteBehindStore(backing, flush_every=100)
-        store.save({"E1": 0.2})
+        backing = CountingStore()
+        store = TieredHistoryStore(backing, flush_every=100)
+        store.put_state("s", {"E1": 0.2}, 1)
         store.flush()
-        assert backing.load() == {"E1": 0.2}
-        assert store.flushes == 1
+        assert backing.read("s") == ({"E1": 0.2}, 1)
+        assert store.writebacks == 1
 
     def test_flush_without_dirty_state_is_noop(self):
-        backing = MemoryHistoryStore()
-        store = WriteBehindStore(backing)
+        backing = CountingStore()
+        store = TieredHistoryStore(backing)
         store.flush()
-        assert backing.save_count == 0
+        assert backing.writes == 0
 
     def test_context_manager_flushes_on_exit(self, tmp_path):
-        backing = JsonlHistoryStore(tmp_path / "h.jsonl")
-        with WriteBehindStore(backing, flush_every=100) as store:
-            store.save({"E1": 0.7})
-        assert JsonlHistoryStore(tmp_path / "h.jsonl").load() == {"E1": 0.7}
+        backing = PackedHistoryStore(tmp_path / "packed")
+        with contextlib.closing(TieredHistoryStore(backing, flush_every=100)) as store:
+            store.put_state("s", {"E1": 0.7}, 3)
+        with PackedHistoryStore(tmp_path / "packed") as reopened:
+            assert reopened.read("s") == ({"E1": 0.7}, 3)
 
     def test_clear_propagates(self):
-        backing = MemoryHistoryStore()
-        backing.save({"E1": 1.0})
-        store = WriteBehindStore(backing)
+        backing = CountingStore()
+        backing.write("s", {"E1": 1.0}, 1)
+        store = TieredHistoryStore(backing)
         store.clear()
-        assert backing.load() == {}
-        assert store.load() == {}
+        assert backing.read("s") is None
+        assert store.get_state("s") is None
 
     def test_invalid_flush_every(self):
         with pytest.raises(HistoryStoreError):
-            WriteBehindStore(MemoryHistoryStore(), flush_every=0)
+            TieredHistoryStore(MemoryStateStore(), flush_every=0)
 
 
 class TestVoterIntegration:
-    def test_reduces_backend_writes_per_round(self, tmp_path):
+    def test_reduces_backend_writes_per_round(self):
         from repro.types import Round
         from repro.voting.hybrid import HybridVoter
 
-        backing = JsonlHistoryStore(tmp_path / "h.jsonl", compact_after=None)
-        store = WriteBehindStore(backing, flush_every=10)
-        voter = HybridVoter(history_store=store)
+        backing = CountingStore()
+        store = TieredHistoryStore(backing, flush_every=10)
+        voter = HybridVoter(history_store=store.store_for("s"))
         for i in range(40):
             voter.vote(Round.from_values(i, [18.0, 18.1, 17.9]))
         # 40 rounds, flushed every 10 -> exactly 4 backend writes.
-        assert backing.snapshot_count() == 4
+        assert backing.writes == 4
         store.flush()
         # State is still the latest record set.
         revived = HybridVoter(
-            history_store=WriteBehindStore(
-                JsonlHistoryStore(tmp_path / "h.jsonl", compact_after=None)
-            )
+            history_store=TieredHistoryStore(backing).store_for("s")
         )
         assert revived.history.snapshot() == voter.history.snapshot()
 
@@ -97,13 +117,17 @@ class TestVoterIntegration:
         from repro.types import Round
         from repro.voting.hybrid import HybridVoter
 
-        backing = JsonlHistoryStore(tmp_path / "h.jsonl")
-        store = WriteBehindStore(backing, flush_every=10)
-        voter = HybridVoter(history_store=store)
+        store = TieredHistoryStore(
+            PackedHistoryStore(tmp_path / "packed"), flush_every=10
+        )
+        voter = HybridVoter(history_store=store.store_for("s"))
         for i in range(15):
             voter.vote(Round.from_values(i, [18.0, 18.1, 17.9, 24.0]))
         # Simulated crash: no flush.  The backing store holds the
-        # round-10 snapshot, not round-15 — staleness is bounded.
-        persisted = JsonlHistoryStore(tmp_path / "h.jsonl").load()
-        assert persisted  # the flush at round 10 happened
-        assert store.pending_saves == 5
+        # round-10 state, not round-15 — staleness is bounded.
+        with PackedHistoryStore(tmp_path / "packed") as persisted:
+            _, updates = persisted.read("s")
+        assert updates == 10  # the flush at round 10 happened
+        assert voter.history.update_count == 15
+        assert store.dirty_count == 1
+        store.close()

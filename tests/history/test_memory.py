@@ -1,42 +1,44 @@
-"""Tests for the in-memory history store."""
+"""Tests for the in-memory series-state store."""
 
 from __future__ import annotations
 
-from repro.history.memory import MemoryHistoryStore
+from repro.history import MemoryStateStore
 
 
 class TestMemoryStore:
     def test_empty_load(self):
-        assert MemoryHistoryStore().load() == {}
+        assert MemoryStateStore().read("s") is None
 
     def test_save_then_load(self):
-        store = MemoryHistoryStore()
-        store.save({"E1": 0.5, "E2": 1.0})
-        assert store.load() == {"E1": 0.5, "E2": 1.0}
+        store = MemoryStateStore()
+        store.write("s", {"E1": 0.5, "E2": 1.0}, 3)
+        assert store.read("s") == ({"E1": 0.5, "E2": 1.0}, 3)
 
     def test_save_replaces_snapshot(self):
-        store = MemoryHistoryStore()
-        store.save({"E1": 0.5})
-        store.save({"E2": 0.7})
-        assert store.load() == {"E2": 0.7}
+        store = MemoryStateStore()
+        store.write("s", {"E1": 0.5}, 1)
+        store.write("s", {"E2": 0.7}, 2)
+        assert store.read("s") == ({"E2": 0.7}, 2)
 
     def test_load_returns_copy(self):
-        store = MemoryHistoryStore()
-        store.save({"E1": 0.5})
-        snapshot = store.load()
-        snapshot["E1"] = 99.0
-        assert store.load()["E1"] == 0.5
+        store = MemoryStateStore()
+        store.write("s", {"E1": 0.5}, 1)
+        records, _ = store.read("s")
+        records["E1"] = 99.0
+        assert store.read("s") == ({"E1": 0.5}, 1)
 
     def test_clear(self):
-        store = MemoryHistoryStore()
-        store.save({"E1": 0.5})
+        store = MemoryStateStore()
+        store.write("s", {"E1": 0.5}, 1)
         store.clear()
-        assert store.load() == {}
+        assert store.read("s") is None
+        assert store.series() == ()
 
     def test_counters(self):
-        store = MemoryHistoryStore()
-        store.save({})
-        store.load()
-        store.load()
-        assert store.save_count == 1
-        assert store.load_count == 2
+        """The store counts series, not writes."""
+        store = MemoryStateStore()
+        store.write("a", {}, 0)
+        store.write("a", {"E1": 0.5}, 1)
+        store.write("b", {"E1": 0.5}, 1)
+        assert len(store) == 2
+        assert store.series() == ("a", "b")

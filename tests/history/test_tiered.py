@@ -2,18 +2,20 @@
 
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
 
 from repro.exceptions import HistoryStoreError
 from repro.history import (
-    JsonlStateStore,
     MemoryStateStore,
     PackedHistoryStore,
     SqliteStateStore,
     TieredHistoryStore,
+    migrate_jsonl_dir,
 )
+from repro.history.migrate import series_filename
 from repro.obs import MetricsRegistry
 from repro.voting.history import HistoryRecords
 
@@ -179,33 +181,33 @@ class TestBitIdentity:
             store.close()
 
     def test_jsonl_backing_restores_records_only(self, tmp_path):
-        """The legacy line format has no update counter: records round-
-        trip, the counter restarts at 0 — same as a restarted shard."""
-        store = TieredHistoryStore(
-            JsonlStateStore(tmp_path), hot_series=1
-        )
-        h = HistoryRecords(store=store.store_for("a"))
+        """The legacy line format has no update counter: migrated records
+        round-trip, the counter restarts at 0 — as legacy shards did."""
+        h = HistoryRecords()
         h.update({"E1": 0.4})
         h.update({"E1": 0.9})
-        snapshot = h.snapshot()
-        store.evict()
+        (tmp_path / "series-index.json").write_text('["a"]')
+        (tmp_path / series_filename("a")).write_text(
+            json.dumps(h.snapshot()) + "\n"
+        )
+        migrate_jsonl_dir(tmp_path)
+        store = TieredHistoryStore(
+            PackedHistoryStore(tmp_path / "packed"), hot_series=1
+        )
         rehydrated = HistoryRecords(store=store.store_for("a"))
-        assert rehydrated.snapshot() == snapshot
+        assert rehydrated.snapshot() == h.snapshot()
         assert rehydrated.update_count == 0
         store.close()
 
 
 class TestSeriesViews:
-    def test_legacy_load_save_protocol(self):
+    def test_state_protocol(self):
         store = _tiered(hot=4)
         view = store.store_for("a")
-        assert view.load() == {}
-        view.save({"E1": 0.5})
-        assert view.load() == {"E1": 0.5}
-        assert store.get_state("a") == ({"E1": 0.5}, 0)
+        assert view.load_state() is None
         view.save_state({"E1": 0.25}, 9)
         assert view.load_state() == ({"E1": 0.25}, 9)
-        view.save({"E1": 0.75})  # legacy save keeps the counter
-        assert view.load_state() == ({"E1": 0.75}, 9)
+        assert store.get_state("a") == ({"E1": 0.25}, 9)
         view.clear()
         assert view.load_state() is None
+        assert "a" not in store

@@ -1,7 +1,8 @@
 """Cross-layer integration: a production-shaped pipeline end to end.
 
 Raw sensor events → streaming window assembly → VDX-built AVOC engine
-with a write-behind SQLite history store → fused series → reliability
+with a write-behind SQLite history store (``TieredHistoryStore``
+over ``SqliteStateStore``, ``flush_every=8``) → fused series → reliability
 diagnosis.  Every layer is real; the test asserts the composition
 behaves like the simple offline path and that the diagnosis at the end
 names the injected culprit.
@@ -17,8 +18,7 @@ from repro.analysis.reliability import diagnose, worst_module
 from repro.datasets.injection import offset_fault
 from repro.fusion.engine import FusionEngine
 from repro.fusion.stream import SensorEvent, StreamingFusion
-from repro.history.cached import WriteBehindStore
-from repro.history.sqlite import SqliteHistoryStore
+from repro.history import SqliteStateStore, TieredHistoryStore
 from repro.vdx.examples import AVOC_SPEC
 from repro.vdx.factory import build_voter
 
@@ -30,10 +30,10 @@ def faulty_dataset(uc1_small):
 
 class TestProductionPipeline:
     def test_stream_store_vote_diagnose(self, tmp_path, faulty_dataset):
-        store = WriteBehindStore(
-            SqliteHistoryStore(tmp_path / "records.db"), flush_every=8
+        store = TieredHistoryStore(
+            SqliteStateStore(tmp_path / "records.db"), flush_every=8
         )
-        voter = build_voter(AVOC_SPEC, history_store=store)
+        voter = build_voter(AVOC_SPEC, history_store=store.store_for("uc1"))
         engine = FusionEngine(voter, roster=list(faulty_dataset.modules))
         stream = StreamingFusion(engine, window=1.0 / 8.0)
 
@@ -55,8 +55,12 @@ class TestProductionPipeline:
         assert streamed == pytest.approx(list(offline))
 
         # 2. The history survived in the database (write-behind flushed).
-        persisted = SqliteHistoryStore(tmp_path / "records.db").load()
-        assert persisted["E4"] == 0.0
+        store.close()
+        persisted = SqliteStateStore(tmp_path / "records.db")
+        records, updates = persisted.read("uc1")
+        persisted.close()
+        assert records["E4"] == 0.0
+        assert updates == voter.history.update_count
 
         # 3. Diagnosis over the streamed outcomes names the culprit.
         outcomes = [r.outcome for r in stream.results if r.outcome is not None]

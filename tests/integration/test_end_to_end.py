@@ -10,7 +10,7 @@ from repro.datasets.injection import drop_values
 from repro.datasets.loader import load_csv, save_csv
 from repro.fusion.engine import FusionEngine
 from repro.fusion.faults import FaultPolicy
-from repro.history.file import JsonlHistoryStore
+from repro.history import PackedHistoryStore, TieredHistoryStore
 from repro.simulation.runner import run_uc1_simulation
 from repro.vdx.examples import AVOC_SPEC
 from repro.vdx.factory import build_engine, build_voter
@@ -44,18 +44,22 @@ class TestVdxToFigurePipeline:
 
 class TestPersistentHistoryAcrossRestart:
     def test_warm_restart_skips_bootstrap(self, tmp_path, uc1_small_faulty):
-        store_path = tmp_path / "history.jsonl"
-        first = build_voter(AVOC_SPEC, history_store=JsonlHistoryStore(store_path))
+        store = TieredHistoryStore(PackedHistoryStore(tmp_path / "packed"))
+        first = build_voter(AVOC_SPEC, history_store=store.store_for("uc1"))
         for voting_round in uc1_small_faulty.slice(0, 50).rounds():
             first.vote(voting_round)
         assert first.bootstraps_used == 1
 
+        store.close()
+
         # New process: records reload, set is no longer "fresh", so the
         # restarted voter goes straight to the Hybrid path.
-        revived = build_voter(AVOC_SPEC, history_store=JsonlHistoryStore(store_path))
+        reopened = TieredHistoryStore(PackedHistoryStore(tmp_path / "packed"))
+        revived = build_voter(AVOC_SPEC, history_store=reopened.store_for("uc1"))
         outcome = revived.vote(next(iter(uc1_small_faulty.slice(50, 51).rounds())))
         assert not outcome.used_bootstrap
         assert "E4" in outcome.eliminated
+        reopened.close()
 
 
 class TestFaultPolicyUnderMissingData:

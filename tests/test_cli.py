@@ -308,3 +308,35 @@ class TestClusterMetrics:
         assert "== shard metrics [b0] ==" in out
         assert "== shard metrics [b1] ==" in out
         assert "== metrics ==" in out  # the local registry still prints
+
+
+class TestStoreMigrate:
+    def _legacy_dir(self, directory, series):
+        from repro.history.migrate import series_filename
+
+        directory.mkdir()
+        (directory / "series-index.json").write_text(json.dumps(series))
+        for key in series:
+            (directory / series_filename(key)).write_text('{"E1": 0.5}\n')
+
+    def test_migrates_each_dir_into_packed(self, tmp_path, capsys):
+        from repro.history import PackedHistoryStore
+
+        self._legacy_dir(tmp_path / "b0", ["a", "b"])
+        self._legacy_dir(tmp_path / "b1", ["c"])
+        assert main(
+            ["store", "migrate", str(tmp_path / "b0"), str(tmp_path / "b1")]
+        ) == 0
+        out = capsys.readouterr().out
+        assert "b0: migrated 2 series" in out
+        assert "b1: migrated 1 series" in out
+        with PackedHistoryStore(tmp_path / "b1" / "packed") as packed:
+            assert packed.read("c") == ({"E1": 0.5}, 0)
+
+    def test_dir_without_index_fails(self, tmp_path, capsys):
+        assert main(["store", "migrate", str(tmp_path)]) == 1
+        assert "series index" in capsys.readouterr().err
+
+    def test_jsonl_store_kind_is_gone(self):
+        with pytest.raises(SystemExit):
+            main(["cluster", "--store", "jsonl", "--once"])

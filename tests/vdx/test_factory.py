@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.history.memory import MemoryHistoryStore
+from repro.history import MemoryStateStore, TieredHistoryStore
 from repro.types import Round
 from repro.vdx.examples import (
     AVOC_SPEC,
@@ -66,10 +66,10 @@ class TestVoterMapping:
         assert engine.quorum.percentage == AVOC_SPEC.quorum_percentage
 
     def test_history_store_forwarded(self):
-        store = MemoryHistoryStore()
-        voter = build_voter(STANDARD_SPEC, history_store=store)
+        store = TieredHistoryStore(MemoryStateStore())
+        voter = build_voter(STANDARD_SPEC, history_store=store.store_for("s"))
         voter.vote_values([1.0, 1.0, 5.0])
-        assert store.save_count == 1
+        assert store.writebacks == 1
 
     def test_categorical_history_mode_mapping(self):
         voter = build_voter(CATEGORICAL_SPEC)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.exceptions import ConfigurationError
-from repro.history.memory import MemoryHistoryStore
+from repro.history import MemoryStateStore, TieredHistoryStore
 from repro.voting.history import HistoryRecords
 
 
@@ -159,12 +159,13 @@ class TestWeightsAndElimination:
 
 class TestStoreIntegration:
     def test_writes_through_and_reloads(self):
-        store = MemoryHistoryStore()
+        store = TieredHistoryStore(MemoryStateStore()).store_for("s")
         records = HistoryRecords(store=store)
         records.update({"a": 0.0})
         # A second HistoryRecords attached to the same store sees state.
         revived = HistoryRecords(store=store)
         assert revived.get("a") == records.get("a")
+        assert revived.update_count == records.update_count
 
     def test_ensure_materialises_without_saving_values(self):
         records = HistoryRecords()
