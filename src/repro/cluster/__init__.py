@@ -11,8 +11,9 @@ Scales :mod:`repro.service` horizontally:
   and restart-on-crash.
 * :class:`~repro.cluster.gateway.ClusterGateway` — the failover-aware
   front door: hashes the series key, fans writes to the replica set,
-  reads with majority semantics and micro-batches rounds per shard
-  through :meth:`~repro.fusion.engine.FusionEngine.process_batch`.
+  reads with majority semantics; each shard link sends one request
+  per job, in FIFO order, so replicas apply a series' rounds in the
+  order they were routed.
 * :mod:`~repro.cluster.retry` — bounded exponential backoff plus a
   circuit breaker, shared by gateway→backend calls (and opt-in by
   :class:`~repro.service.client.VoterClient`).

@@ -5,8 +5,8 @@
 :class:`~repro.fusion.engine.FusionEngine` per *series* key, each with
 durable history state in the shard's store, and adds the cluster
 operations:
-``vote_batch`` (micro-batched rounds through
-:meth:`~repro.fusion.engine.FusionEngine.process_batch`, the PR-1
+``vote_batch`` (many rounds of many series through
+:meth:`~repro.fusion.engine.FusionEngine.process_batch`, the
 vectorized hot path) and ``sync_history`` (the rebalance/failover
 seeding write).  Voted rounds are cached per series, so a gateway
 replaying a round after a transport failure gets the original result

@@ -1,15 +1,13 @@
 """The cluster gateway: one front door over many shard backends.
 
-The gateway speaks the same line-delimited JSON protocol as the plain
-voter service (plus ``route`` and ``cluster_stats``), hashes every
-series key onto the consistent-hash ring, fans writes to the full
-replica set and reads the majority answer back.  Each backend is
-served by a dedicated link thread that **micro-batches**: whatever
-vote jobs have queued up since the last flush travel as one
-``vote_batch`` request and are fused through
-:meth:`~repro.fusion.engine.FusionEngine.process_batch` on the shard —
-under concurrent load the PR-1 vectorized kernels are the hot path,
-not a per-round request loop.
+The gateway speaks the same protocol as the plain voter service (plus
+``route`` and ``cluster_stats``), hashes every series key onto the
+consistent-hash ring, fans writes to the full replica set and reads the
+majority answer back.  Each backend is served by a dedicated link
+thread that sends **one request per job, in FIFO order**: rounds of a
+series reach every replica in the order the gateway routed them, which
+the order-sensitive history-aware voters require.  Coalescing happens
+once, upstream, in the ingest tier's ``vote_batch`` flushes.
 
 Failover is a property of the link, not the caller: every
 gateway→backend exchange runs under the shared
@@ -17,7 +15,9 @@ gateway→backend exchange runs under the shared
 :class:`~repro.cluster.retry.CircuitBreaker`, so a dead shard fails
 fast after its first timeout and the majority read carries on with the
 surviving replicas.  A supervisor callback hears about the failure and
-can restart the shard (see :mod:`repro.cluster.supervisor`).
+can restart the shard (see :mod:`repro.cluster.supervisor`).  A shard
+that *answers* with an error is healthy: its error passes through to
+the caller.
 """
 
 from __future__ import annotations
@@ -31,18 +31,15 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..exceptions import ReproError
 from ..obs import ClusterInstruments, MetricsRegistry, get_default_registry
-from ..service.client import VoterClient
+from ..service.client import ServiceError, VoterClient
 from ..service.protocol import (
-    PROTOCOL_VERSION,
-    SUPPORTED_VERSIONS,
     ConnectionClosedError,
     ErrorCode,
     ProtocolError,
-    VersionMismatchError,
     ok_response,
     validate_request,
 )
-from ..service.server import _Handler, _numeric, _ThreadingServer
+from ..service.server import ServerCore, _numeric
 from ..vdx.spec import VotingSpec
 from .retry import CircuitBreaker, RetryPolicy, call_with_retry
 from .ring import HashRing
@@ -53,12 +50,11 @@ _STOP = object()
 
 
 class _Job:
-    """One unit of backend work a client handler thread waits on."""
+    """One request to a backend that a client handler thread waits on."""
 
-    __slots__ = ("kind", "payload", "event", "result", "error")
+    __slots__ = ("payload", "event", "result", "error")
 
-    def __init__(self, kind: str, payload: Any):
-        self.kind = kind  # "vote" | "batch" | "forward"
+    def __init__(self, payload: Dict[str, Any]):
         self.payload = payload
         self.event = threading.Event()
         self.result: Any = None
@@ -74,7 +70,7 @@ class _Job:
 
 
 class _BackendLink:
-    """One backend's connection, queue, and micro-batching worker."""
+    """One backend's connection, FIFO queue, and worker thread."""
 
     def __init__(
         self,
@@ -84,7 +80,6 @@ class _BackendLink:
         breaker: CircuitBreaker,
         obs: ClusterInstruments,
         on_failure: Callable[[str], None],
-        batch_max: int = 256,
         timeout: float = 30.0,
     ):
         self.backend_id = backend_id
@@ -93,7 +88,6 @@ class _BackendLink:
         self.breaker = breaker
         self.obs = obs
         self.on_failure = on_failure
-        self.batch_max = batch_max
         self.timeout = timeout
         self.alive = True
         #: A fenced link is excluded from all routing (it missed a
@@ -132,23 +126,14 @@ class _BackendLink:
     def _run(self) -> None:
         while True:
             job = self._queue.get()
-            stopping = job is _STOP
-            jobs: List[_Job] = [] if stopping else [job]
-            while len(jobs) < self.batch_max:
-                try:
-                    extra = self._queue.get_nowait()
-                except queue.Empty:
-                    break
-                if extra is _STOP:
-                    stopping = True
-                    break
-                jobs.append(extra)
-            if jobs:
-                self._flush(jobs)
-            if stopping:
+            if job is _STOP:
                 if self._client is not None:
                     self._client.close()
                 return
+            try:
+                job.finish(self._request(job.payload))
+            except Exception as exc:  # noqa: BLE001 - delivered to the waiter
+                job.fail(exc)
 
     def _request(self, message: Dict[str, Any]) -> Dict[str, Any]:
         def attempt() -> Dict[str, Any]:
@@ -179,6 +164,8 @@ class _BackendLink:
                 retry_on=(ConnectionClosedError, OSError),
                 breaker=self.breaker,
             )
+        except ServiceError:
+            raise  # the shard answered: it is healthy, the request was not
         except Exception:
             self.failures += 1
             self.alive = False
@@ -188,56 +175,8 @@ class _BackendLink:
         self.alive = True
         return response
 
-    def _flush(self, jobs: Sequence[_Job]) -> None:
-        votes = [j for j in jobs if j.kind == "vote"]
-        rest = [j for j in jobs if j.kind != "vote"]
-        if votes:
-            self._flush_votes(votes)
-        for job in rest:
-            try:
-                if job.kind == "batch":
-                    response = self._request(
-                        {"op": "vote_batch", "batches": job.payload}
-                    )
-                    job.finish(response["results"])
-                else:  # forward
-                    job.finish(self._request(job.payload))
-            except Exception as exc:  # noqa: BLE001 - delivered to the waiter
-                job.fail(exc)
 
-    def _flush_votes(self, votes: Sequence[_Job]) -> None:
-        """Coalesce queued single-round votes into one vote_batch."""
-        groups: Dict[Tuple[str, Tuple[str, ...]], List[_Job]] = {}
-        for job in votes:
-            series, _, _, modules = job.payload
-            groups.setdefault((series, modules), []).append(job)
-        batches = []
-        owners: List[List[_Job]] = []
-        for (series, modules), group in groups.items():
-            batches.append(
-                {
-                    "series": series,
-                    "rounds": [j.payload[1] for j in group],
-                    "modules": list(modules),
-                    "rows": [
-                        [j.payload[2][m] for m in modules] for j in group
-                    ],
-                }
-            )
-            owners.append(group)
-        self.obs.batch_rounds.observe(float(len(votes)))
-        try:
-            response = self._request({"op": "vote_batch", "batches": batches})
-        except Exception as exc:  # noqa: BLE001 - delivered to the waiters
-            for job in votes:
-                job.fail(exc)
-            return
-        for group, series_result in zip(owners, response["results"]):
-            for job, payload in zip(group, series_result["results"]):
-                job.finish(payload)
-
-
-class ClusterGateway:
+class ClusterGateway(ServerCore):
     """Failover-aware front door for a sharded fusion cluster.
 
     Args:
@@ -248,12 +187,16 @@ class ClusterGateway:
         retry: backoff policy for gateway→backend calls.
         breaker_threshold / breaker_reset: per-backend circuit breaker.
         replica_timeout: how long a request waits for its replica set.
-        batch_max: cap on vote jobs coalesced into one shard flush.
         default_series: series key used when a request carries none, so
             a plain :class:`~repro.service.client.VoterClient` works
             against the gateway unchanged.
         registry: metrics registry (default: the process-global one).
     """
+
+    #: The gateway replays safely: routed votes are deduplicated by the
+    #: shard replay caches, so clients may re-send after a drop.
+    _replays_votes = True
+    _unsupported_by = "the gateway"
 
     def __init__(
         self,
@@ -265,7 +208,6 @@ class ClusterGateway:
         breaker_threshold: int = 3,
         breaker_reset: float = 1.0,
         replica_timeout: float = 30.0,
-        batch_max: int = 256,
         default_series: str = "default",
         registry: Optional[MetricsRegistry] = None,
     ):
@@ -277,7 +219,6 @@ class ClusterGateway:
         self.breaker_threshold = breaker_threshold
         self.breaker_reset = breaker_reset
         self.replica_timeout = replica_timeout
-        self.batch_max = batch_max
         self.default_series = default_series
         self.registry = registry if registry is not None else get_default_registry()
         self._obs = ClusterInstruments(self.registry)
@@ -293,48 +234,14 @@ class ClusterGateway:
         self._obs.backends_alive.set_function(
             lambda: float(sum(1 for link in self._links.values() if link.alive))
         )
-        self._tcp: Optional[_ThreadingServer] = _ThreadingServer((host, port), _Handler)
-        self._tcp.service = self  # type: ignore[attr-defined]
-        self._address = self._tcp.server_address
-        self._thread: Optional[threading.Thread] = None
-
-    # -- lifecycle ----------------------------------------------------------
-
-    @property
-    def address(self):
-        return self._address
-
-    def start(self) -> "ClusterGateway":
-        if self._tcp is None:
-            raise ReproError("gateway already stopped")
-        if self._thread is not None:
-            raise ReproError("gateway already started")
-        self._thread = threading.Thread(
-            target=self._tcp.serve_forever, kwargs={"poll_interval": 0.05},
-            daemon=True,
-        )
-        self._thread.start()
-        return self
+        super().__init__(host, port)
 
     def stop(self) -> None:
-        thread, self._thread = self._thread, None
-        tcp, self._tcp = self._tcp, None
-        if tcp is not None:
-            if thread is not None:
-                tcp.shutdown()
-            tcp.server_close()
-        if thread is not None:
-            thread.join(timeout=5.0)
+        super().stop()
         with self._lock:
             links, self._links = dict(self._links), {}
         for link in links.values():
             link.stop()
-
-    def __enter__(self) -> "ClusterGateway":
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
 
     # -- backend membership --------------------------------------------------
 
@@ -358,7 +265,6 @@ class ClusterGateway:
                 CircuitBreaker(self.breaker_threshold, self.breaker_reset),
                 self._obs,
                 self._on_link_failure,
-                batch_max=self.batch_max,
                 timeout=self.replica_timeout,
             )
 
@@ -443,7 +349,7 @@ class ClusterGateway:
             for series, donors in plan:
                 snapshot: Optional[Dict[str, Any]] = None
                 for donor in donors:
-                    job = _Job("forward", {"op": "history", "series": series})
+                    job = _Job({"op": "history", "series": series})
                     donor.enqueue(job)
                     if not job.event.wait(self.replica_timeout):
                         continue
@@ -463,7 +369,7 @@ class ClusterGateway:
                     message["updates"] = int(snapshot["updates"])
                 if snapshot.get("watermark") is not None:
                     message["watermark"] = int(snapshot["watermark"])
-                job = _Job("forward", message)
+                job = _Job(message)
                 victim.enqueue(job)
                 if job.event.wait(self.replica_timeout) and job.error is None:
                     synced += 1
@@ -537,12 +443,32 @@ class ClusterGateway:
                 successes.append((backend_id, job.result))
         return successes
 
-    def _fan_out(self, series: str, kind: str, payload: Any) -> List[Tuple[str, Any]]:
+    def _no_answer(
+        self, series: str, errors: Sequence[Optional[BaseException]]
+    ) -> ProtocolError:
+        """The error for a series no replica answered.
+
+        When every replica answered with an error of one code (say
+        ``already_voted``), that is the answer, not a missing replica.
+        """
+        codes = {e.code if isinstance(e, ServiceError) else None for e in errors}
+        if len(codes) == 1 and None not in codes:
+            try:
+                return ProtocolError(str(errors[0]), code=ErrorCode(codes.pop()))
+            except ValueError:
+                pass  # a code this gateway does not know
+        return ProtocolError(
+            f"no replica answered for series {series!r} "
+            f"(replica set: {self._replicas(series)})",
+            code=ErrorCode.NO_REPLICA,
+        )
+
+    def _fan_out(self, series: str, request: Dict[str, Any]) -> List[Tuple[str, Any]]:
         """Enqueue one job per eligible replica of ``series`` and await."""
         routed = self._route(series)
         jobs: List[Tuple[str, _Job]] = []
         for backend_id, link in routed:
-            job = _Job(kind, payload)
+            job = _Job(request)
             link.enqueue(job)
             jobs.append((backend_id, job))
         if not jobs:
@@ -552,11 +478,7 @@ class ClusterGateway:
             )
         successes = self._await_jobs(jobs)
         if not successes:
-            raise ProtocolError(
-                f"no replica answered for series {series!r} "
-                f"(replica set: {self._replicas(series)})",
-                code=ErrorCode.NO_REPLICA,
-            )
+            raise self._no_answer(series, [job.error for _, job in jobs])
         return successes
 
     def _majority(self, answers: List[Tuple[str, Any]]) -> Any:
@@ -579,7 +501,7 @@ class ClusterGateway:
         (primary first; stale replicas only as a last resort)."""
         last_error: Optional[BaseException] = None
         for backend_id, link in self._route(series):
-            job = _Job("forward", request)
+            job = _Job(request)
             link.enqueue(job)
             successes = self._await_jobs([(backend_id, job)])
             if successes:
@@ -608,7 +530,7 @@ class ClusterGateway:
             ]
         jobs = []
         for backend_id, link in targets:
-            job = _Job("forward", request)
+            job = _Job(request)
             link.enqueue(job)
             jobs.append((backend_id, job))
         successes = self._await_jobs(jobs)
@@ -628,44 +550,18 @@ class ClusterGateway:
     # -- dispatch ------------------------------------------------------------
 
     def dispatch(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        """Handle one validated request (no global lock: fan-outs from
-        different client connections must interleave for micro-batching
-        to ever see more than one round per flush)."""
+        """Handle one validated request.  There is no global lock:
+        requests from different client connections proceed in parallel,
+        and each link keeps its backend's requests in FIFO order."""
         op = validate_request(request)
         self.requests_served += 1
         self._obs.requests.labels(op).inc()
-        handler = getattr(self, f"_op_{op}", None)
-        if handler is None:
-            raise ProtocolError(
-                f"operation {op!r} is not supported by the gateway",
-                code=ErrorCode.UNSUPPORTED_OP,
-            )
-        return handler(request)
+        return self._handler(op)(request)
 
     # -- local operations ----------------------------------------------------
 
     def _op_ping(self, request) -> Dict[str, Any]:
         return ok_response(pong=True, role="gateway")
-
-    def _op_hello(self, request) -> Dict[str, Any]:
-        version = request["version"]
-        if version not in SUPPORTED_VERSIONS:
-            raise VersionMismatchError(
-                f"protocol version mismatch: peer speaks {version}, "
-                f"this gateway speaks {PROTOCOL_VERSION}"
-            )
-        # The gateway replays safely: routed votes are deduplicated by
-        # the shard replay caches, so clients may re-send after a drop.
-        return ok_response(
-            version=version,
-            server=type(self).__name__,
-            replays_votes=True,
-            binary_framing=True,
-            max_version=PROTOCOL_VERSION,
-        )
-
-    def _op_spec(self, request) -> Dict[str, Any]:
-        return ok_response(spec=self.spec.to_dict())
 
     def _op_metrics(self, request) -> Dict[str, Any]:
         """Local Prometheus text; per-shard text on ``"shards": true``."""
@@ -757,12 +653,18 @@ class ClusterGateway:
         series = request.get("series", self.default_series)
         self._register_series(series)
         values = {str(m): _numeric(m, v) for m, v in request["values"].items()}
-        modules = tuple(values)
-        answers = self._fan_out(
-            series, "vote", (series, request["round"], values, modules)
-        )
+        batch = {
+            "series": series,
+            "rounds": [request["round"]],
+            "modules": list(values),
+            "rows": [list(values.values())],
+        }
+        answers = self._fan_out(series, {"op": "vote_batch", "batches": [batch]})
         return ok_response(
-            result=self._majority(answers), replicas_answered=len(answers)
+            result=self._majority(
+                [(bid, r["results"][0]["results"][0]) for bid, r in answers]
+            ),
+            replicas_answered=len(answers),
         )
 
     def _op_vote_batch(self, request) -> Dict[str, Any]:
@@ -780,7 +682,9 @@ class ClusterGateway:
                 per_backend.setdefault(backend_id, []).append(index)
         jobs: Dict[str, Tuple[_Job, List[int]]] = {}
         for backend_id, indices in per_backend.items():
-            job = _Job("batch", [batches[i] for i in indices])
+            job = _Job(
+                {"op": "vote_batch", "batches": [batches[i] for i in indices]}
+            )
             links[backend_id].enqueue(job)
             jobs[backend_id] = (job, indices)
         if not jobs:
@@ -794,15 +698,16 @@ class ClusterGateway:
                 continue
             for slot, index in enumerate(indices):
                 collected.setdefault(index, {})[backend_id] = (
-                    job.result[slot]["results"]
+                    job.result["results"][slot]["results"]
                 )
         results = []
         for index, batch in enumerate(batches):
             answers_by_backend = collected.get(index)
             if not answers_by_backend:
-                raise ProtocolError(
-                    f"no replica answered for series {batch['series']!r}",
-                    code=ErrorCode.NO_REPLICA,
+                raise self._no_answer(
+                    batch["series"],
+                    [job.error for bid, (job, indices) in jobs.items()
+                     if index in indices],
                 )
             # Order answers primary-first so majority ties resolve the
             # same way every time.
@@ -824,14 +729,14 @@ class ClusterGateway:
         self._register_series(series)
         forwarded = dict(request)
         forwarded["series"] = series
-        answers = self._fan_out(series, "forward", forwarded)
+        answers = self._fan_out(series, forwarded)
         return self._majority(answers)
 
     def _op_close_round(self, request) -> Dict[str, Any]:
         series = request.get("series", self.default_series)
         forwarded = dict(request)
         forwarded["series"] = series
-        answers = self._fan_out(series, "forward", forwarded)
+        answers = self._fan_out(series, forwarded)
         return self._majority(answers)
 
     def _op_history(self, request) -> Dict[str, Any]:
@@ -850,7 +755,7 @@ class ClusterGateway:
         series = request.get("series")
         if series is not None:
             forwarded = dict(request)
-            answers = self._fan_out(series, "forward", forwarded)
+            answers = self._fan_out(series, forwarded)
             return self._majority(answers)
         summary = self._broadcast({"op": "reset"})
         with self._lock:

@@ -9,7 +9,6 @@ matrices, as the paper's reproducible evaluation does) into
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -64,11 +63,8 @@ class FusionEngine:
         voter: the voting algorithm instance.
         roster: known module names.  When None, the roster is learned
             from the first round and extended as new modules appear.
-        quorum: quorum rule (default: no quorum requirement).  When no
-            rule is given and the voter carries a non-zero (deprecated)
-            ``quorum_percentage``, that percentage is adopted as an
-            ``UNTIL`` rule so the engine stays the single enforcement
-            point.
+        quorum: quorum rule (default: no quorum requirement); the
+            engine is the single place quorum is enforced.
         exclusion: VDX exclusion mode.
         exclusion_threshold: threshold for the exclusion mode.
         fault_policy: behaviour on degraded rounds.
@@ -90,12 +86,6 @@ class FusionEngine:
     ):
         self.voter = voter
         self.roster: List[str] = list(roster) if roster else []
-        if quorum is None:
-            deprecated_pct = getattr(
-                getattr(voter, "params", None), "quorum_percentage", 0.0
-            )
-            if deprecated_pct > 0:
-                quorum = QuorumRule(mode="UNTIL", percentage=deprecated_pct)
         self.quorum = quorum or QuorumRule()
         self.exclusion = exclusion.upper()
         self.exclusion_threshold = exclusion_threshold
@@ -222,8 +212,8 @@ class FusionEngine:
             matrix: rounds × modules array-like of readings.
             modules: optional column names (default ``E1..En``).
             diagnostics: also record the per-round weight matrix and
-                full :class:`FusionResult` objects (slower; needed by
-                :meth:`run_matrix` compatibility callers).
+                full :class:`FusionResult` objects (slower; see
+                :meth:`~repro.fusion.batch.BatchResult.to_results`).
         """
         from .batch import process_matrix
 
@@ -234,29 +224,6 @@ class FusionEngine:
             return process_matrix(self, matrix, modules, diagnostics=diagnostics)
         finally:
             self._obs.batch_seconds.observe(time.perf_counter() - start)
-
-    def run_matrix(
-        self, matrix: np.ndarray, modules: Optional[Sequence[str]] = None
-    ) -> List[FusionResult]:
-        """Process a recorded dataset matrix (rounds × modules).
-
-        .. deprecated:: 1.0
-            Use :func:`repro.fuse` / :func:`repro.fuse_many` (or
-            :meth:`process_batch` directly); ``run_matrix`` is a thin
-            compatibility wrapper and will be removed in 2.0.
-
-        NaN entries are treated as missing values, matching the UC-2
-        dataset's unreachable-beacon gaps.  Compatibility wrapper over
-        :meth:`process_batch` — outputs are bit-identical to the
-        original per-round loop.
-        """
-        warnings.warn(
-            "FusionEngine.run_matrix is deprecated; use repro.fuse() / "
-            "repro.fuse_many() (or FusionEngine.process_batch) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.process_batch(matrix, modules, diagnostics=True).to_results()
 
     def output_series(self, results: Sequence[FusionResult]) -> np.ndarray:
         """Extract the output values as a float array (NaN for skips)."""

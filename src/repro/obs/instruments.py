@@ -160,7 +160,6 @@ class ClusterInstruments:
         "rebalanced_series",
         "replica_disagreements",
         "failover_seconds",
-        "batch_rounds",
         "backends_alive",
     )
 
@@ -197,11 +196,6 @@ class ClusterInstruments:
             "cluster_failover_seconds",
             "Time from detecting a dead backend to its replacement "
             "answering a ping.",
-        )
-        self.batch_rounds = registry.histogram(
-            "cluster_batch_rounds",
-            "Rounds per gateway->shard micro-batch flush.",
-            buckets=(1, 2, 4, 8, 16, 32, 64, 128, 256, float("inf")),
         )
         self.backends_alive = registry.gauge(
             "cluster_backends_alive",

@@ -13,7 +13,7 @@ on the same port, per message:
   flags, payload length) followed by a compact type-tagged binary
   payload (``struct``-packed, stdlib-only).  Rows of float readings
   travel as packed IEEE-754 doubles — the serialization hot path of
-  the micro-batched ``vote_batch`` traffic.  See ``docs/protocol.md``
+  the batched ``vote_batch`` traffic.  See ``docs/protocol.md``
   for the byte-by-byte layout.
 
 Framing is detected from the first byte of each message (``0xF3``
@@ -52,7 +52,7 @@ Operations:
                       capabilities (``replays_votes``,
                       ``binary_framing``, ``max_version``)
 ``vote_batch``        vote many rounds across many series in one
-                      round-trip (the cluster micro-batching hot path):
+                      round-trip (the cluster's batched hot path):
                       ``{"op": "vote_batch", "batches": [{"series": "s",
                       "rounds": [0, 1], "modules": ["E1"],
                       "rows": [[18.0], [18.1]]}]}``
@@ -631,7 +631,7 @@ def _check_batches(batches: Any) -> None:
 
     Row *values* are validated vectorially by the server (a single
     ``isfinite`` sweep over the assembled matrix), not per cell here —
-    this is the micro-batching hot path.
+    this is the batched hot path.
     """
     if not isinstance(batches, list) or not batches:
         raise ProtocolError("vote_batch requires a non-empty 'batches' list")

@@ -4,6 +4,11 @@ One server hosts one voting scheme (a VDX document).  Concurrent client
 connections are served by threads; all engine access is serialised by a
 lock, so rounds are voted in arrival order regardless of which
 connection closes them.
+
+:class:`ServerCore` is the TCP front shared by every request/response
+tier — this server, the shard backends and the cluster gateway: one
+socket lifecycle, one ``hello``/``spec`` handshake and one operation
+lookup.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ import socket
 import socketserver
 import threading
 import time
-from typing import Any, Dict, Optional
+from typing import Any, Callable, Dict, Optional
 
 from ..exceptions import ReproError
 from ..fusion.engine import FusionEngine, FusionResult
@@ -197,17 +202,14 @@ class _ThreadingServer(socketserver.ThreadingTCPServer):
                 pass
 
 
-class VoterServer:
-    """A VDX-configured voter reachable over TCP.
+class ServerCore:
+    """The TCP front every request/response service shares.
 
-    Args:
-        spec: the voting scheme this service hosts.
-        host: bind address (default loopback).
-        port: bind port; 0 picks a free port (see :attr:`address`).
-        history_store: optional per-series store view
-            (:meth:`~repro.history.TieredHistoryStore.store_for`).
-        registry: metrics registry for the service *and* its engine
-            (default: the process-global registry from :mod:`repro.obs`).
+    Owns the listening socket and its serving thread, the ``hello``
+    handshake, the ``spec`` read and the ``_op_<name>`` lookup behind
+    each subclass's ``dispatch``.  Subclasses set ``spec`` and
+    implement ``dispatch(request) -> response`` plus their ``_op_*``
+    handlers.
 
     Use as a context manager, or call :meth:`start` / :meth:`stop`.
     """
@@ -218,26 +220,12 @@ class VoterServer:
     #: strict; shard/cluster servers override this.
     _replays_votes = False
 
-    def __init__(
-        self,
-        spec: VotingSpec,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        history_store=None,
-        registry: Optional[MetricsRegistry] = None,
-    ):
-        self.spec = spec
-        self._history_store = history_store
-        self.registry = registry if registry is not None else get_default_registry()
-        self._obs = ServiceInstruments(self.registry, OPERATIONS)
-        self.engine: FusionEngine = build_engine(
-            spec, history_store=history_store, registry=self.registry
-        )
-        self._lock = threading.Lock()
-        self._pending: Dict[int, Dict[str, Optional[float]]] = {}
-        self._voted = set()
-        self._last_result: Optional[FusionResult] = None
-        self.requests_served = 0
+    #: Who refuses an unknown operation, in the ``unsupported_op`` error.
+    _unsupported_by = "this server"
+
+    spec: VotingSpec
+
+    def __init__(self, host: str, port: int):
         self._tcp: Optional[_ThreadingServer] = _ThreadingServer(
             (host, port), _Handler
         )
@@ -252,7 +240,7 @@ class VoterServer:
         """(host, port) the server is (or was) bound to."""
         return self._address
 
-    def start(self) -> "VoterServer":
+    def start(self):
         if self._tcp is None:
             raise ReproError("server already stopped")
         if self._thread is not None:
@@ -281,43 +269,24 @@ class VoterServer:
         if thread is not None:
             thread.join(timeout=5.0)
 
-    def __enter__(self) -> "VoterServer":
+    def __enter__(self):
         return self.start()
 
     def __exit__(self, *exc_info) -> None:
         self.stop()
 
-    # -- request dispatch ---------------------------------------------------
+    # -- shared operations ------------------------------------------------
 
-    def dispatch(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        """Handle one validated request (thread-safe)."""
-        op = validate_request(request)
-        obs = self._obs
-        start = time.perf_counter() if obs.enabled else 0.0
-        try:
-            with self._lock:
-                self.requests_served += 1
-                handler = getattr(self, f"_op_{op}", None)
-                if handler is None:
-                    # Cluster-only operations against a plain server must
-                    # answer with an error, not kill the handler thread.
-                    raise ProtocolError(
-                        f"operation {op!r} is not supported by this server",
-                        code=ErrorCode.UNSUPPORTED_OP,
-                    )
-                return handler(request)
-        except Exception:
-            obs.errors[op].inc()
-            raise
-        finally:
-            obs.requests[op].inc()
-            if obs.enabled:
-                obs.request_seconds[op].observe(time.perf_counter() - start)
-
-    # -- operations ---------------------------------------------------------
-
-    def _op_ping(self, request) -> Dict[str, Any]:
-        return ok_response(pong=True)
+    def _handler(self, op: str) -> Callable[[Dict[str, Any]], Dict[str, Any]]:
+        """The ``_op_<op>`` method; an unknown operation is answered
+        with an error, never a dead handler thread."""
+        handler = getattr(self, f"_op_{op}", None)
+        if handler is None:
+            raise ProtocolError(
+                f"operation {op!r} is not supported by {self._unsupported_by}",
+                code=ErrorCode.UNSUPPORTED_OP,
+            )
+        return handler
 
     def _op_hello(self, request) -> Dict[str, Any]:
         """Version handshake: reject mismatched peers with a clear error.
@@ -343,6 +312,68 @@ class VoterServer:
 
     def _op_spec(self, request) -> Dict[str, Any]:
         return ok_response(spec=self.spec.to_dict())
+
+
+class VoterServer(ServerCore):
+    """A VDX-configured voter reachable over TCP.
+
+    Args:
+        spec: the voting scheme this service hosts.
+        host: bind address (default loopback).
+        port: bind port; 0 picks a free port (see :attr:`address`).
+        history_store: optional per-series store view
+            (:meth:`~repro.history.TieredHistoryStore.store_for`).
+        registry: metrics registry for the service *and* its engine
+            (default: the process-global registry from :mod:`repro.obs`).
+
+    Use as a context manager, or call :meth:`start` / :meth:`stop`.
+    """
+
+    def __init__(
+        self,
+        spec: VotingSpec,
+        host: str = "127.0.0.1",
+        port: int = 0,
+        history_store=None,
+        registry: Optional[MetricsRegistry] = None,
+    ):
+        self.spec = spec
+        self._history_store = history_store
+        self.registry = registry if registry is not None else get_default_registry()
+        self._obs = ServiceInstruments(self.registry, OPERATIONS)
+        self.engine: FusionEngine = build_engine(
+            spec, history_store=history_store, registry=self.registry
+        )
+        self._lock = threading.Lock()
+        self._pending: Dict[int, Dict[str, Optional[float]]] = {}
+        self._voted = set()
+        self._last_result: Optional[FusionResult] = None
+        self.requests_served = 0
+        super().__init__(host, port)
+
+    # -- request dispatch ---------------------------------------------------
+
+    def dispatch(self, request: Dict[str, Any]) -> Dict[str, Any]:
+        """Handle one validated request (thread-safe)."""
+        op = validate_request(request)
+        obs = self._obs
+        start = time.perf_counter() if obs.enabled else 0.0
+        try:
+            with self._lock:
+                self.requests_served += 1
+                return self._handler(op)(request)
+        except Exception:
+            obs.errors[op].inc()
+            raise
+        finally:
+            obs.requests[op].inc()
+            if obs.enabled:
+                obs.request_seconds[op].observe(time.perf_counter() - start)
+
+    # -- operations ---------------------------------------------------------
+
+    def _op_ping(self, request) -> Dict[str, Any]:
+        return ok_response(pong=True)
 
     def _vote_round(self, number: int, values: Dict[str, Optional[float]]):
         if number in self._voted:

@@ -16,7 +16,7 @@ bit-identical to a direct in-process fuse (the standing
 ``tests/ingest/test_cluster_identity.py`` contract), a live search
 returns a ranking **bit-identical to the offline objective** — at any
 shard count.  Parallelism lives where the paper's deployment story
-puts it: in the cluster (replica fan-out, micro-batching), not in the
+puts it: in the cluster (replica fan-out, ``vote_batch`` replay), not in the
 search driver, so the wrappers below pin ``workers=1`` and memoize
 trials on their frozen parameter assignment instead.
 

@@ -39,8 +39,7 @@ def _voter_params(
 
     The spec's quorum is *not* baked into the voter: the engine-level
     :class:`~repro.fusion.quorum.QuorumRule` built by
-    :meth:`FusionEngine.from_spec` is the single enforcement point
-    (``VoterParams.quorum_percentage`` is deprecated).
+    :meth:`FusionEngine.from_spec` is the single enforcement point.
     """
     base = base or VoterParams()
     explicit = spec.params

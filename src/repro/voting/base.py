@@ -13,8 +13,6 @@ a thin parameterisation of it.
 from __future__ import annotations
 
 import abc
-import math
-import warnings
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
@@ -56,12 +54,6 @@ class VoterParams:
             ``"fixed"`` (record below ``elimination_threshold``).
         elimination_threshold: cutoff for ``"fixed"`` elimination.
         collation: VDX collation keyword.
-        quorum_percentage: **deprecated, removal scheduled for 2.0** —
-            quorum is now enforced once, by the engine-level
-            :class:`~repro.fusion.quorum.QuorumRule`.  A non-zero value
-            still works (and is adopted as the engine rule by
-            :class:`~repro.fusion.engine.FusionEngine`) but emits a
-            :class:`DeprecationWarning`.
         bootstrap_mode: when the AVOC clustering step runs — ``"auto"``
             (fresh or failed records, per the paper), ``"always"``
             (clustering-only voting) or ``"never"``.
@@ -77,7 +69,6 @@ class VoterParams:
     elimination: str = "mean"
     elimination_threshold: float = 0.5
     collation: str = "MEAN"
-    quorum_percentage: float = 0.0
     bootstrap_mode: str = "auto"
 
     def __post_init__(self):
@@ -105,17 +96,6 @@ class VoterParams:
             raise ConfigurationError("elimination_threshold must be in [0, 1]")
         if self.collation.upper() not in _COLLATIONS:
             raise ConfigurationError(f"collation must be one of {_COLLATIONS}")
-        if not 0.0 <= self.quorum_percentage <= 100.0:
-            raise ConfigurationError("quorum_percentage must be in [0, 100]")
-        if self.quorum_percentage > 0:
-            warnings.warn(
-                "VoterParams.quorum_percentage is deprecated and will be "
-                "removed in 2.0; configure a QuorumRule on the "
-                "FusionEngine instead (FusionEngine adopts a non-zero "
-                "voter percentage automatically)",
-                DeprecationWarning,
-                stacklevel=3,
-            )
         if self.bootstrap_mode not in _BOOTSTRAP_MODES:
             raise ConfigurationError(
                 f"bootstrap_mode must be one of {_BOOTSTRAP_MODES}"
@@ -230,14 +210,6 @@ class HistoryAwareVoter(Voter):
             weights[module] = 0.0
         return weights
 
-    def _quorum_reached(self, voting_round: Round) -> bool:
-        if self.params.quorum_percentage <= 0:
-            return True
-        required = math.ceil(
-            len(voting_round.readings) * self.params.quorum_percentage / 100.0
-        )
-        return voting_round.submitted_count >= required
-
     # -- AVOC hooks (overridden by AvocVoter) ------------------------------
 
     def _should_bootstrap(self, modules) -> bool:
@@ -266,7 +238,6 @@ class HistoryAwareVoter(Voter):
             or cls._agreement_matrix is not HistoryAwareVoter._agreement_matrix
             or cls._weights is not HistoryAwareVoter._weights
             or cls._eliminated is not HistoryAwareVoter._eliminated
-            or cls._quorum_reached is not HistoryAwareVoter._quorum_reached
             or cls._should_bootstrap is not HistoryAwareVoter._should_bootstrap
             or cls._bootstrap_vote is not HistoryAwareVoter._bootstrap_vote
         ):
@@ -283,14 +254,6 @@ class HistoryAwareVoter(Voter):
         present = voting_round.present
         modules = [r.module for r in present]
         self.history.ensure(voting_round.modules)
-        if not self._quorum_reached(voting_round):
-            return VoteOutcome(
-                round_number=voting_round.number,
-                value=None,
-                history=self.history.snapshot(),
-                quorum_reached=False,
-                diagnostics={"submitted": voting_round.submitted_count},
-            )
         voting_round.require_nonempty()
         if self._should_bootstrap(modules):
             outcome = self._bootstrap_vote(voting_round)

@@ -42,13 +42,6 @@ class MaximumLikelihoodVoter(HistoryAwareVoter):
         present = voting_round.present
         modules = [r.module for r in present]
         self.history.ensure(voting_round.modules)
-        if not self._quorum_reached(voting_round):
-            return VoteOutcome(
-                round_number=voting_round.number,
-                value=None,
-                history=self.history.snapshot(),
-                quorum_reached=False,
-            )
         voting_round.require_nonempty()
         values = [float(r.value) for r in present]
         clustering = cluster_by_agreement(

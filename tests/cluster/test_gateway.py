@@ -1,4 +1,4 @@
-"""Tests for the cluster gateway: routing, majority reads, micro-batching.
+"""Tests for the cluster gateway: routing, majority reads, link order.
 
 Thread-mode backends keep these fast; process-mode failover is covered
 in ``test_supervisor.py``.
@@ -6,9 +6,13 @@ in ``test_supervisor.py``.
 
 from __future__ import annotations
 
+import threading
+import time
+
 import numpy as np
 import pytest
 
+import repro
 from repro.cluster.supervisor import FusionCluster
 from repro.service.client import ServiceError, VoterClient
 from repro.service.protocol import PROTOCOL_VERSION
@@ -63,6 +67,7 @@ class TestRoutedVoting:
             want = expected.values[0]
             want = None if np.isnan(want) else float(want)
             assert result["value"] == want
+            assert set(result) == {"round", "value", "status"}
 
     def test_vote_without_series_uses_default(self, client):
         result = client.vote(0, dict(zip(MODULES, [18.0, 18.1, 17.9])))
@@ -260,3 +265,92 @@ class TestGatewayFailover:
                     assert result["value"] == want
                 stats = client.cluster_stats()
                 assert stats["backends"][victim]["alive"] is False
+
+
+def _wait_for(predicate, timeout=10.0):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.005)
+
+
+class TestLinkOrder:
+    def test_vote_does_not_overtake_an_earlier_batch(self):
+        # History-aware voting is order-sensitive: a link must deliver
+        # its jobs in the order they were queued, whatever their op.
+        rows = rows_for(2, seed=21)
+        want = repro.fuse(rows, AVOC_SPEC, modules=MODULES).values
+        with FusionCluster(
+            AVOC_SPEC, n_shards=1, replicas=1, mode="thread",
+            auto_restart=False,
+        ) as cluster:
+            (backend_id, backend), = cluster.backends.items()
+            link = cluster.gateway._links[backend_id]
+            answers = {}
+            threads = []
+
+            def send(name, message):
+                def run():
+                    with cluster.client() as c:
+                        try:
+                            answers[name] = c.request(message)
+                        except ServiceError as exc:
+                            answers[name] = exc
+
+                thread = threading.Thread(target=run)
+                thread.start()
+                threads.append(thread)
+
+            with backend._server._lock:
+                # Park the link thread mid-request on the held shard.
+                sent = link.requests_sent
+                send("park", {"op": "vote_batch", "batches": [
+                    {"series": "park", "rounds": [0], "modules": MODULES,
+                     "rows": rows[:1]}]})
+                _wait_for(
+                    lambda: link.requests_sent > sent and link._queue.empty()
+                )
+                send("batch", {"op": "vote_batch", "batches": [
+                    {"series": "s", "rounds": [0], "modules": MODULES,
+                     "rows": rows[:1]}]})
+                _wait_for(lambda: link._queue.qsize() == 1)
+                send("vote", {"op": "vote", "series": "s", "round": 1,
+                              "values": dict(zip(MODULES, rows[1]))})
+                _wait_for(lambda: link._queue.qsize() == 2)
+            for thread in threads:
+                thread.join(timeout=10.0)
+
+            batch, vote = answers["batch"], answers["vote"]
+            assert not isinstance(batch, Exception), batch
+            assert not isinstance(vote, Exception), vote
+            assert batch["results"][0]["results"][0]["value"] == float(want[0])
+            assert vote["result"]["value"] == float(want[1])
+
+
+class TestShardErrors:
+    def test_replay_past_the_cache_is_refused_not_masked(self):
+        # A shard answering with an error is healthy: its code reaches
+        # the caller and no backend is marked dead.
+        with FusionCluster(
+            AVOC_SPEC, n_shards=2, replicas=2, mode="thread",
+            auto_restart=False,
+        ) as cluster:
+            with cluster.client() as client:
+                rows = rows_for(1100, seed=3)
+                client.vote_batch(
+                    [{"series": "deep", "rounds": list(range(1100)),
+                      "modules": MODULES, "rows": rows}]
+                )
+                with pytest.raises(ServiceError) as single:
+                    client.vote(0, dict(zip(MODULES, rows[0])), series="deep")
+                assert single.value.code == "already_voted"
+                with pytest.raises(ServiceError) as batch:
+                    client.vote_batch(
+                        [{"series": "deep", "rounds": [0],
+                          "modules": MODULES, "rows": rows[:1]}]
+                    )
+                assert batch.value.code == "already_voted"
+                stats = client.cluster_stats()
+                for info in stats["backends"].values():
+                    assert info["status"] == "alive"
+                    assert info["failures"] == 0

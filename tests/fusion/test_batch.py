@@ -1,8 +1,7 @@
 """Equivalence tests for the vectorized batch fusion core.
 
 The contract under test: :meth:`FusionEngine.process_batch` (and the
-``repro.fuse`` convenience wrapper, and the ``run_matrix`` compat
-wrapper) must be **bit-identical** to feeding the same matrix through
+``repro.fuse`` convenience wrapper) must be **bit-identical** to feeding the same matrix through
 the per-round :meth:`FusionEngine.process` loop — values, statuses,
 outcome diagnostics, engine counters, and voter/history end-state —
 for every registered algorithm, on clean and gap-ridden matrices,
@@ -300,15 +299,6 @@ class TestEquivalenceEdgeCases:
         with pytest.raises(FusionError):
             engine.process_batch(np.zeros((2, 3)), ["a", "b"])
 
-    def test_run_matrix_is_a_thin_wrapper(self, uc1):
-        matrix, modules = uc1
-        e_ref = FusionEngine(create_voter("avoc"), roster=modules)
-        e_wrap = FusionEngine(create_voter("avoc"), roster=modules)
-        reference = run_per_round(e_ref, matrix[:80], modules)
-        wrapped = e_wrap.run_matrix(matrix[:80], modules)
-        assert_results_identical(reference, wrapped)
-        assert_end_state_identical(e_ref, e_wrap)
-
 
 class TestFuseApi:
     def test_fuse_by_algorithm_name(self):
@@ -390,53 +380,12 @@ class TestBatchResult:
 
 
 class TestQuorumDeprecation:
-    def test_quorum_percentage_warns(self):
-        from repro.voting.base import VoterParams
-
-        with pytest.warns(DeprecationWarning, match="quorum_percentage"):
-            VoterParams(quorum_percentage=50.0)
-
     def test_zero_percentage_stays_silent(self):
         from repro.voting.base import VoterParams
 
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             VoterParams()  # must not warn
-
-    def test_engine_adopts_deprecated_percentage(self):
-        with pytest.warns(DeprecationWarning):
-            params = AvocVoter.default_params().with_overrides(
-                quorum_percentage=80.0
-            )
-        engine = FusionEngine(AvocVoter(params=params))
-        assert engine.quorum.mode == "UNTIL"
-        assert engine.quorum.percentage == 80.0
-
-    def test_explicit_rule_wins_over_deprecated_percentage(self):
-        with pytest.warns(DeprecationWarning):
-            params = AvocVoter.default_params().with_overrides(
-                quorum_percentage=80.0
-            )
-        engine = FusionEngine(
-            AvocVoter(params=params), quorum=QuorumRule(mode="ANY")
-        )
-        assert engine.quorum.mode == "ANY"
-
-    def test_deprecated_percentage_still_enforced_in_batch(self, uc2):
-        # Equivalence must hold for legacy voters carrying the old
-        # voter-level quorum too (the engine adopts it).
-        matrix, modules = uc2
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            make = lambda: FusionEngine(
-                AvocVoter(
-                    params=AvocVoter.default_params().with_overrides(
-                        quorum_percentage=100.0
-                    )
-                ),
-                roster=modules,
-            )
-            check_equivalence(make, matrix[:80], modules)
 
 
 class TestProcessMatrixFunction:

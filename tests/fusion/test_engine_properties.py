@@ -58,7 +58,7 @@ class TestEngineNeverCrashes:
                 on_missing_majority=policy, on_conflict=policy
             ),
         )
-        results = engine.run_matrix(matrix)
+        results = engine.process_batch(matrix, diagnostics=True).to_results()
         assert len(results) == matrix.shape[0]
         lo, hi = np.nanmin(matrix), np.nanmax(matrix)
         for result in results:
@@ -73,7 +73,7 @@ class TestEngineNeverCrashes:
             create_voter("avoc"),
             fault_policy=FaultPolicy(on_missing_majority="last_value"),
         )
-        results = engine.run_matrix(matrix)
+        results = engine.process_batch(matrix, diagnostics=True).to_results()
         seen_values = set()
         for result in results:
             if result.status == "ok":

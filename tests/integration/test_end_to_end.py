@@ -29,7 +29,9 @@ class TestVdxToFigurePipeline:
         spec = VotingSpec.from_file(spec_path)
         engine = build_engine(spec)
         dataset = load_csv(data_path)
-        results = engine.run_matrix(dataset.matrix, modules=dataset.modules)
+        results = engine.process_batch(
+            dataset.matrix, dataset.modules, diagnostics=True
+        ).to_results()
         outputs = engine.output_series(results)
         assert outputs.shape == (uc1_small.n_rounds,)
         assert 17.0 < np.nanmean(outputs) < 19.5

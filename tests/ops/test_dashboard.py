@@ -222,8 +222,8 @@ class TestClusterAggregation:
                 assert statuses == {"b0": "alive", "b1": "alive"}
                 assert document["flat"]["cluster_backends_alive"] == 2.0
                 # Shard-side work is visible through the aggregation:
-                # the gateway micro-batches votes, so each replica saw
-                # one vote_batch request.
+                # the gateway routes every vote as a one-round
+                # vote_batch, so each replica saw vote_batch requests.
                 assert (
                     document["flat"]["service_requests_total{op=vote_batch}"]
                     >= 2.0

@@ -59,8 +59,6 @@ class TestVoterMapping:
     def test_quorum_left_to_engine(self):
         # The spec's quorum is no longer baked into the voter params —
         # the engine-level QuorumRule is the single enforcement point.
-        voter = build_voter(AVOC_SPEC)
-        assert voter.params.quorum_percentage == 0.0
         engine = build_engine(AVOC_SPEC)
         assert engine.quorum.mode == AVOC_SPEC.quorum
         assert engine.quorum.percentage == AVOC_SPEC.quorum_percentage

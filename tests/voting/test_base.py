@@ -25,7 +25,7 @@ class TestVoterParamsValidation:
             {"elimination": "sometimes"},
             {"elimination_threshold": 1.5},
             {"collation": "MODE"},
-            {"quorum_percentage": 150.0},
+            {"learning_rate": 0.0},
             {"bootstrap_mode": "maybe"},
         ],
     )
@@ -78,34 +78,6 @@ class TestPipelineBasics:
         voter.vote_values([1.0, 1.0, 99.0])
         voter.reset()
         assert voter.history.all_fresh(["E1", "E2", "E3"])
-
-
-class TestQuorum:
-    def _voter(self, pct):
-        params = StandardVoter.default_params().with_overrides(quorum_percentage=pct)
-        return StandardVoter(params=params)
-
-    def test_quorum_failure_yields_no_value(self):
-        voter = self._voter(100.0)
-        outcome = voter.vote(Round.from_mapping(0, {"a": 1.0, "b": None}))
-        assert outcome.value is None
-        assert not outcome.quorum_reached
-
-    def test_quorum_satisfied(self):
-        voter = self._voter(50.0)
-        outcome = voter.vote(Round.from_mapping(0, {"a": 1.0, "b": None}))
-        assert outcome.quorum_reached
-        assert outcome.value == 1.0
-
-    def test_quorum_failure_does_not_update_history(self):
-        voter = self._voter(100.0)
-        voter.vote(Round.from_mapping(0, {"a": 1.0, "b": None}))
-        assert voter.history.update_count == 0
-
-    def test_zero_percentage_disables_check(self):
-        voter = self._voter(0.0)
-        outcome = voter.vote(Round.from_mapping(0, {"a": 1.0, "b": None}))
-        assert outcome.quorum_reached
 
 
 class TestEliminationModes:

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.types import Round
 from repro.voting.mlv import MaximumLikelihoodVoter
 
 
@@ -34,15 +33,6 @@ class TestGroupSelection:
         voter = MaximumLikelihoodVoter()
         voter.vote_values([1.0, 1.0, 5.0])
         assert voter.history.get("E3") < voter.history.get("E1")
-
-    def test_quorum_respected(self):
-        params = MaximumLikelihoodVoter.default_params().with_overrides(
-            quorum_percentage=100.0
-        )
-        voter = MaximumLikelihoodVoter(params)
-        outcome = voter.vote(Round.from_mapping(0, {"a": 1.0, "b": None}))
-        assert outcome.value is None
-        assert not outcome.quorum_reached
 
     def test_reliability_floor_keeps_likelihood_finite(self):
         voter = MaximumLikelihoodVoter()
