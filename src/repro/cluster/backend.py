@@ -28,7 +28,9 @@ and update counters intact.
 from __future__ import annotations
 
 import json
+import math
 import multiprocessing
+import sys
 import threading
 from collections import OrderedDict
 from pathlib import Path
@@ -48,7 +50,7 @@ from ..history.migrate import series_filename
 from ..runtime.pool import fork_available
 from ..service.client import VoterClient
 from ..service.protocol import ErrorCode, ProtocolError, ok_response
-from ..service.server import VoterServer, _numeric, _result_payload
+from ..service.server import VoterServer, _numeric
 from ..util import atomic_write
 from ..vdx.factory import build_engine
 from ..vdx.spec import VotingSpec
@@ -67,6 +69,13 @@ DEFAULT_REPLAY_CACHE_ROUNDS = 1024
 #: Watermark-log appends between compactions (the log is append-only
 #: per voted round; compaction rewrites it to one line per series).
 _WATERMARK_COMPACT_EVERY = 4096
+
+
+def _round_payload(
+    number: int, value: Optional[float], status: str
+) -> Dict[str, Any]:
+    """One round's answer, as ``vote``/``vote_batch`` and replays send it."""
+    return {"round": number, "value": value, "status": status}
 
 
 class ShardServer(VoterServer):
@@ -115,7 +124,9 @@ class ShardServer(VoterServer):
         self.max_resident_series = max_resident_series
         self._engines: "OrderedDict[str, Any]" = OrderedDict()
         self._series_pending: Dict[str, Dict[int, Dict[str, Optional[float]]]] = {}
-        self._series_voted: Dict[str, Dict[int, Dict[str, Any]]] = {}
+        # Replay cache: round -> (value, status); the answer payload is
+        # rebuilt on replay, which keeps each entry small.
+        self._series_voted: Dict[str, Dict[int, Tuple[Optional[float], str]]] = {}
         self._series_watermark: Dict[str, int] = self._load_watermarks()
         self._watermark_appends = 0
         self._tiered = self._build_tiered_store(store, maintenance_interval)
@@ -131,9 +142,8 @@ class ShardServer(VoterServer):
         self, store: Optional[str], maintenance_interval: Optional[float]
     ) -> Optional[TieredHistoryStore]:
         if store is None:
-            # Default: durable shards use the packed store; store-less
-            # shards stay store-less so the vectorized batch kernel
-            # (store-free only) stays engaged.
+            # Default: durable shards use the packed store; shards
+            # without a history directory keep their records in memory.
             store = "packed" if self._history_dir is not None else None
         if store is None:
             return None
@@ -272,10 +282,10 @@ class ShardServer(VoterServer):
         return watermark is not None and number <= watermark
 
     def _cache_result(
-        self, series: str, number: int, payload: Dict[str, Any]
+        self, series: str, number: int, value: Optional[float], status: str
     ) -> None:
         voted = self._series_voted.setdefault(series, {})
-        voted[number] = payload
+        voted[number] = (value, sys.intern(status))
         while len(voted) > self.replay_cache_rounds:
             voted.pop(next(iter(voted)))
 
@@ -337,7 +347,8 @@ class ShardServer(VoterServer):
 
         cached = self._series_voted.get(series, {}).get(number)
         if cached is not None:
-            return cached  # replayed write: answer with the original result
+            # Replayed write: answer with the original result.
+            return _round_payload(number, *cached)
         if self._already_voted(series, number):
             # Voted before this process (re)started, or evicted from the
             # bounded cache: refuse rather than apply to history twice.
@@ -346,11 +357,12 @@ class ShardServer(VoterServer):
                 code=ErrorCode.ALREADY_VOTED,
             )
         engine = self._engine_for(series)
-        result = engine.process(Round.from_mapping(number, values))
-        payload = _result_payload(result)
-        self._cache_result(series, number, payload)
+        # Watermark before commit: a crash between the two leaves the
+        # round refused on retry, never applied to history twice.
         self._record_watermark(series, number)
-        return payload
+        result = engine.process(Round.from_mapping(number, values))
+        self._cache_result(series, number, result.value, result.status)
+        return _round_payload(number, result.value, result.status)
 
     def _op_vote(self, request) -> Dict[str, Any]:
         series = request.get("series")
@@ -395,7 +407,7 @@ class ShardServer(VoterServer):
             # Assemble into a batch-local map first: the shared cache may
             # evict rounds of this very batch once they are inserted.
             answers: Dict[int, Dict[str, Any]] = {
-                n: voted[n] for n in rounds if n in voted
+                n: _round_payload(n, *voted[n]) for n in rounds if n in voted
             }
             fresh: List[int] = []
             seen = set()
@@ -405,18 +417,19 @@ class ShardServer(VoterServer):
                     fresh.append(i)
             if fresh:
                 engine = self._engine_for(series)
-                outcome = engine.process_batch(matrix[fresh], modules)
-                for k, i in enumerate(fresh):
-                    value = float(outcome.values[k])
-                    answers[rounds[i]] = {
-                        "round": rounds[i],
-                        "value": None if np.isnan(value) else value,
-                        "status": str(outcome.statuses[k]),
-                    }
-                for i in fresh:
-                    self._cache_result(series, rounds[i], answers[rounds[i]])
-                # One watermark append per batch, not per round.
+                # One watermark append per batch, made before the engine
+                # commits the batch's history: a crash in between leaves
+                # the retried rounds refused, never applied twice.
                 self._record_watermark(series, max(rounds[i] for i in fresh))
+                outcome = engine.process_batch(matrix[fresh], modules)
+                values = outcome.values.tolist()
+                statuses = outcome.statuses.tolist()
+                for k, i in enumerate(fresh):
+                    number, value = rounds[i], values[k]
+                    if math.isnan(value):
+                        value = None
+                    answers[number] = _round_payload(number, value, statuses[k])
+                    self._cache_result(series, number, value, statuses[k])
             results.append(
                 {"series": series, "results": [answers[n] for n in rounds]}
             )
@@ -567,9 +580,6 @@ class ShardServer(VoterServer):
             # records *and* its update counter, so the bootstrap trigger
             # and EMA warm-up behave as if this shard never crashed.
             history.absorb(records, int(updates))
-            # absorb skips the store by design; persist() writes both
-            # the records and the adopted update counter through.
-            history.persist()
         else:
             history.seed(records, count_as_update=False)
         if watermark is not None:

@@ -28,10 +28,15 @@ vectorized kernels selected by :meth:`Voter.batch_kernel`:
 Every path is *bit-identical* to the per-round
 :meth:`FusionEngine.process` loop, including engine statistics,
 ``last_accepted`` carry-over, voter history state and raised
-exceptions.  Voters or engine configurations without a kernel
-(custom ``vote`` overrides, exclusion rules, history stores,
-weighted-majority collation) transparently fall back to the exact
-legacy loop.
+exceptions.  A voter with an attached history store runs the kernel
+too: the ``history`` kernel commits the batch's final state once per
+batch instead of once per round.  Voters or engine configurations
+without a kernel (custom ``vote`` overrides, exclusion rules,
+duplicate or empty module names, weighted-majority collation) fall
+back to the exact per-round loop, and so does a one-row matrix, since
+one round costs less through :meth:`FusionEngine.process` than a
+kernel call's fixed setup.  Every round sent down that loop is counted
+in ``fusion_fallback_rounds_total{algorithm,reason}``.
 """
 
 from __future__ import annotations
@@ -162,13 +167,19 @@ def process_matrix(
         )
 
     kernel = None
-    if (
-        engine.exclusion == "NONE"
-        and n_modules > 0
-        and len(set(modules)) == n_modules
-    ):
+    reason = None
+    if engine.exclusion != "NONE":
+        reason = "exclusion"
+    elif n_modules == 0 or len(set(modules)) != n_modules:
+        reason = "modules"
+    else:
         kernel = engine.voter.batch_kernel()
-    if kernel is None:
+        if kernel is None:
+            reason = "voter"
+        elif n_rounds == 1:
+            reason = "single_round"
+    if reason is not None:
+        engine._obs.fallback_rounds[reason].inc(n_rounds)
         return _fallback(engine, matrix, modules, diagnostics)
 
     for module in modules:

@@ -200,10 +200,12 @@ class AsyncIngestServer:
             self._stop_event.set()
         loop.call_soon_threadsafe(_signal)
         thread.join(timeout=10.0)
+        # Stop the bridge while the loop is still open: a worker that is
+        # finishing a request hands its answer to the loop on the way out.
+        self._bridge.stop()
         loop.close()
         self._thread = None
         self._loop = None
-        self._bridge.stop()
 
     def __enter__(self) -> "AsyncIngestServer":
         return self.start()

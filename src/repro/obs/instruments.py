@@ -30,6 +30,11 @@ __all__ = [
 #: Degraded-round reason labels shared by the per-round and batch paths.
 DEGRADED_REASONS = ("majority_missing", "quorum", "conflict", "empty")
 
+#: Why a ``process_batch`` call ran the per-round loop instead of a
+#: kernel: the voter has none, an exclusion rule is set, the module
+#: names are duplicated or empty, or the matrix holds one round.
+FALLBACK_REASONS = ("voter", "exclusion", "modules", "single_round")
+
 
 def _history_summary(
     history: Any, reduce: Callable[[List[float]], float]
@@ -52,6 +57,7 @@ class EngineInstruments:
         "round_seconds",
         "batch_seconds",
         "batch_rounds",
+        "fallback_rounds",
     )
 
     def __init__(
@@ -92,6 +98,15 @@ class EngineInstruments:
             "Rounds fused through the vectorized batch kernels.",
             labels=("algorithm",),
         ).labels(algorithm)
+        fallback = registry.counter(
+            "fusion_fallback_rounds_total",
+            "Batch rounds sent down the per-round loop, by reason.",
+            labels=("algorithm", "reason"),
+        )
+        self.fallback_rounds = {
+            reason: fallback.labels(algorithm, reason)
+            for reason in FALLBACK_REASONS
+        }
         history = getattr(voter, "history", None)
         if history is not None and hasattr(history, "snapshot"):
             summary = registry.gauge(

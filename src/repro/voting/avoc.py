@@ -106,8 +106,9 @@ class AvocVoter(HybridVoter):
     def batch_kernel(self) -> Optional[str]:
         """``"history"`` — the batch kernel natively replays the AVOC
         bootstrap (sorted-runs clustering + history seeding), so AVOC's
-        own hook overrides are expected; further subclassing disables
-        the kernel just like in the base class."""
+        own hook overrides are expected; further subclassing or the
+        WEIGHTED_MAJORITY collation disables the kernel just like in the
+        base class."""
         from .kernels import BATCHABLE_COLLATIONS
 
         cls = type(self)
@@ -119,8 +120,6 @@ class AvocVoter(HybridVoter):
             or cls._should_bootstrap is not AvocVoter._should_bootstrap
             or cls._bootstrap_vote is not AvocVoter._bootstrap_vote
         ):
-            return None
-        if self.history.store is not None:
             return None
         if self.params.collation.upper() not in BATCHABLE_COLLATIONS:
             return None

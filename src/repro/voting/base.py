@@ -225,10 +225,11 @@ class HistoryAwareVoter(Voter):
 
         The batch kernel replays exactly the :meth:`vote` implementation
         below, so any subclass override of the pipeline (or the AVOC
-        hooks — see :meth:`AvocVoter.batch_kernel`) disables it, as do a
-        write-through history store (persisted per round) and the
-        WEIGHTED_MAJORITY collation (hash-based, not vectorizable
-        bit-identically).
+        hooks — see :meth:`AvocVoter.batch_kernel`) disables it, as does
+        the WEIGHTED_MAJORITY collation (hash-based, not vectorizable
+        bit-identically).  An attached history store is no obstacle: the
+        kernel commits the batch's final state once, through
+        :meth:`~repro.voting.history.HistoryRecords.absorb`.
         """
         from .kernels import BATCHABLE_COLLATIONS
 
@@ -241,8 +242,6 @@ class HistoryAwareVoter(Voter):
             or cls._should_bootstrap is not HistoryAwareVoter._should_bootstrap
             or cls._bootstrap_vote is not HistoryAwareVoter._bootstrap_vote
         ):
-            return None
-        if self.history.store is not None:
             return None
         if self.params.collation.upper() not in BATCHABLE_COLLATIONS:
             return None

@@ -17,7 +17,9 @@ Records can be attached to a per-series store view
 (:meth:`~repro.history.tiered.TieredHistoryStore.store_for`: anything
 with ``load_state``/``save_state``/``clear``) so every update is
 persisted, mirroring the paper's datastore-backed deployment (its
-stated latency bottleneck).
+stated latency bottleneck).  A per-round update commits once per
+round; the batch kernel's :meth:`HistoryRecords.absorb` commits a
+whole batch once.
 
 Storage layout
 --------------
@@ -248,8 +250,9 @@ class HistoryRecords:
         Write-back hook for the vectorized batch kernel
         (:mod:`repro.fusion.batch`): the kernel evolves the records in a
         float array and deposits the final state here.  Values are
-        clamped like :meth:`seed`.  The attached store is not written —
-        the batch kernel only engages for store-less records.
+        clamped like :meth:`seed`.  The new state is written through to
+        the attached store with one ``save_state`` (records plus update
+        counter), so a batch costs one store commit, not one per round.
         """
         self._index = {}
         self._values = np.empty(max(8, len(records)), dtype=float)
@@ -257,6 +260,7 @@ class HistoryRecords:
         for module, value in records.items():
             self._set(module, min(max(float(value), 0.0), 1.0))
         self._updates = int(update_count)
+        self.persist()
 
     def reset(self) -> None:
         """Forget everything; records return to the initial value."""

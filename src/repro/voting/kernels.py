@@ -83,14 +83,24 @@ def batch_dynamic_margins(
     """Per-round dynamic margins, identical to :func:`dynamic_margin`.
 
     Rounds with zero present values get ``min_margin`` (the scalar
-    helper's empty-input convention).
+    helper's empty-input convention).  The median is taken from each
+    sorted row (NaN sorts last) at the present count: the middle value,
+    or ``(lo + hi) / 2`` for an even count — the expression
+    ``np.median`` evaluates.  ``np.nanmedian`` would give the same
+    numbers through a masked-array path that costs more than the rest
+    of a small batch.
     """
     n_rounds = matrix.shape[0]
     margins = np.full(n_rounds, float(min_margin))
     populated = counts > 0
     if np.any(populated):
+        ordered = np.sort(matrix[populated], axis=1)
+        present = counts[populated]
+        rows = np.arange(ordered.shape[0])
+        lo = ordered[rows, (present - 1) // 2]
+        hi = ordered[rows, present // 2]
         with np.errstate(all="ignore"):
-            refs = np.nanmedian(matrix[populated], axis=1)
+            refs = np.where(present % 2 == 1, hi, (lo + hi) / 2)
         margins[populated] = np.maximum(np.abs(refs) * error, min_margin)
     return margins
 

@@ -3,13 +3,16 @@
 from __future__ import annotations
 
 import json
+import os
 
 import numpy as np
 import pytest
 
+from repro import fuse
 from repro.cli import main as cli_main
 from repro.cluster.backend import ManagedBackend, ShardServer
 from repro.exceptions import ReproError
+from repro.history import TieredHistoryStore
 from repro.history.migrate import series_filename
 from repro.runtime.pool import fork_available
 from repro.service.client import ServiceError, VoterClient
@@ -589,5 +592,54 @@ class TestManagedBackendProcess:
             assert backend.ping()
             with VoterClient(*backend.address) as c:
                 assert c.history(series="s") == pytest.approx(records)
+        finally:
+            backend.stop()
+
+
+@pytest.mark.skipif(not fork_available(), reason="needs the fork start method")
+class TestCrashOrdering:
+    """A shard killed mid-``vote_batch`` never applies a round twice."""
+
+    ROWS = rows_for(10, seed=11)
+
+    def batch(self):
+        return [{"series": "s", "rounds": list(range(len(self.ROWS))),
+                 "modules": MODULES, "rows": self.ROWS}]
+
+    @pytest.mark.parametrize("point", ["watermark", "commit"])
+    def test_retry_after_a_crash_applies_each_round_at_most_once(
+        self, tmp_path, monkeypatch, point
+    ):
+        def crash(*args, **kwargs):
+            os._exit(1)
+
+        # Patched before the fork: the shard process inherits the hook
+        # and dies at that point of its first vote_batch.
+        if point == "watermark":
+            monkeypatch.setattr(ShardServer, "_record_watermark", crash)
+        else:
+            monkeypatch.setattr(TieredHistoryStore, "put_state", crash)
+        backend = ManagedBackend("b0", AVOC_SPEC, history_dir=tmp_path,
+                                 mode="process")
+        backend.start()
+        try:
+            with VoterClient(*backend.address) as c:
+                with pytest.raises((OSError, ReproError)):
+                    c.vote_batch(self.batch())
+            monkeypatch.undo()
+            backend.restart()
+            with VoterClient(*backend.address) as c:
+                try:
+                    results = c.vote_batch(self.batch())
+                except ServiceError as exc:
+                    assert exc.code == "already_voted"
+                else:
+                    want = fuse(np.asarray(self.ROWS), AVOC_SPEC,
+                                modules=MODULES).values
+                    assert [r["value"] for r in results[0]["results"]] == [
+                        None if np.isnan(v) else float(v) for v in want
+                    ]
+                history = c.request({"op": "history", "series": "s"})
+                assert history["updates"] <= len(self.ROWS)
         finally:
             backend.stop()

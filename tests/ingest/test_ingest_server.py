@@ -265,6 +265,11 @@ class TestBackpressure:
 
 
 class TestSlowConsumer:
+    # A bridge worker still finishing after the loop closed used to
+    # raise "Event loop is closed" from its callback thread on stop().
+    @pytest.mark.filterwarnings(
+        "error::pytest.PytestUnhandledThreadExceptionWarning"
+    )
     def test_slow_consumer_disconnected(self):
         sink = VoterServer(AVOC_SPEC)
         registry = MetricsRegistry()

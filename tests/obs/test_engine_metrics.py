@@ -154,6 +154,64 @@ class TestBatchInstrumentation:
         ) == 15
 
 
+class TestFallbackInstrumentation:
+    """Every batch round sent down the per-round loop is counted."""
+
+    MATRIX = np.asarray([[1.0, 1.1, 0.9], [1.2, 1.0, 1.1], [0.9, 1.0, 1.0]])
+
+    def _fallbacks(self, registry, algorithm):
+        family = registry.families()["fusion_fallback_rounds_total"]
+        return {
+            reason: family.labels(algorithm, reason).value
+            for reason in ("voter", "exclusion", "modules", "single_round")
+        }
+
+    def test_voter_without_kernel(self):
+        registry = MetricsRegistry()
+        voter = create_voter("avoc")
+        voter = create_voter(
+            "avoc",
+            params=voter.params.with_overrides(collation="WEIGHTED_MAJORITY"),
+        )
+        engine = FusionEngine(voter, registry=registry)
+        engine.process_batch(self.MATRIX, ["E1", "E2", "E3"])
+        assert self._fallbacks(registry, "avoc") == {
+            "voter": 3, "exclusion": 0, "modules": 0, "single_round": 0,
+        }
+
+    def test_exclusion_rule(self):
+        registry = MetricsRegistry()
+        engine = FusionEngine(
+            create_voter("median"), exclusion="DEVIATION",
+            exclusion_threshold=2.0, registry=registry,
+        )
+        engine.process_batch(self.MATRIX, ["E1", "E2", "E3"])
+        assert self._fallbacks(registry, "median")["exclusion"] == 3
+
+    @pytest.mark.parametrize(
+        "modules, matrix",
+        [(["E1", "E1", "E2"], MATRIX), ([], np.zeros((3, 0)))],
+        ids=("duplicate", "empty"),
+    )
+    def test_duplicate_or_empty_module_names(self, modules, matrix):
+        registry = MetricsRegistry()
+        engine = FusionEngine(create_voter("median"), registry=registry)
+        engine.process_batch(matrix, modules)
+        assert self._fallbacks(registry, "median")["modules"] == 3
+
+    def test_single_round_batch(self):
+        registry = MetricsRegistry()
+        engine = FusionEngine(create_voter("avoc"), registry=registry)
+        engine.process_batch(self.MATRIX[:1], ["E1", "E2", "E3"])
+        engine.process_batch(self.MATRIX, ["E1", "E2", "E3"])
+        assert self._fallbacks(registry, "avoc") == {
+            "voter": 0, "exclusion": 0, "modules": 0, "single_round": 1,
+        }
+        assert _counter_value(
+            registry, "fusion_batch_rounds_total", algorithm="avoc"
+        ) == 3
+
+
 class TestDisabledInstrumentation:
     def test_null_registry_records_nothing_and_changes_nothing(self):
         engine = FusionEngine(

@@ -13,6 +13,7 @@ from repro.voting.agreement import (
     pairwise_distances,
     soft_agreement_matrix,
 )
+from repro.voting.kernels import batch_dynamic_margins
 
 
 class TestDynamicMargin:
@@ -36,6 +37,33 @@ class TestDynamicMargin:
 
     def test_empty_values_return_floor(self):
         assert dynamic_margin([], error=0.05, min_margin=1e-9) == 1e-9
+
+
+class TestBatchDynamicMargins:
+    """The vectorized margins equal the scalar helper bit for bit."""
+
+    @pytest.mark.parametrize("min_margin", [0.0, 1e-9])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_ragged_rows_match_scalar_margin(self, seed, min_margin):
+        rng = np.random.default_rng(seed)
+        matrix = rng.normal(0.0, 20.0, size=(400, 7))
+        matrix[rng.random(matrix.shape) < 0.35] = np.nan
+        matrix[rng.random(matrix.shape) < 0.05] = 0.0
+        matrix[rng.random(matrix.shape) < 0.05] = -0.0
+        matrix[::37] = np.nan  # all-NaN rows
+        matrix[5] = [-0.0, 0.0, -0.0, 0.0, np.nan, np.nan, np.nan]
+        counts = (~np.isnan(matrix)).sum(axis=1)
+        assert {c % 2 for c in counts if c} == {0, 1}
+        got = batch_dynamic_margins(matrix, 0.05, min_margin, counts)
+        for row, margin in zip(matrix, got):
+            present = row[~np.isnan(row)].tolist()
+            assert margin == dynamic_margin(present, 0.05, min_margin)
+
+    def test_empty_rows_get_the_floor(self):
+        matrix = np.full((3, 4), np.nan)
+        counts = np.zeros(3, dtype=int)
+        margins = batch_dynamic_margins(matrix, 0.05, 1e-9, counts)
+        assert margins.tolist() == [1e-9, 1e-9, 1e-9]
 
 
 class TestPairwiseDistances:
