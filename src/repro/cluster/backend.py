@@ -30,11 +30,12 @@ from __future__ import annotations
 import json
 import math
 import multiprocessing
-import sys
 import threading
+from array import array
+from bisect import bisect_left
 from collections import OrderedDict
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Set, Tuple
 
 import numpy as np
 
@@ -71,11 +72,71 @@ DEFAULT_REPLAY_CACHE_ROUNDS = 1024
 _WATERMARK_COMPACT_EVERY = 4096
 
 
+#: Round statuses, by their code in a :class:`_ReplayWindow`.
+_STATUSES = ("ok", "held", "skipped")
+_STATUS_CODES = {status: code for code, status in enumerate(_STATUSES)}
+
+
 def _round_payload(
     number: int, value: Optional[float], status: str
 ) -> Dict[str, Any]:
     """One round's answer, as ``vote``/``vote_batch`` and replays send it."""
     return {"round": number, "value": value, "status": status}
+
+
+class _ReplayWindow:
+    """One series' replay cache: the answers of its latest rounds.
+
+    Three parallel arrays sorted by round number, about 17 bytes per
+    round; a dict entry per round costs 85 bytes or more, and a shard
+    keeps up to ``replay_cache_rounds`` of them for every series.
+    Rounds of a series arrive in increasing order, so a put appends.
+    """
+
+    __slots__ = ("rounds", "values", "codes")
+
+    def __init__(self) -> None:
+        self.rounds = array("q")
+        self.values = array("d")
+        self.codes = bytearray()
+
+    def __len__(self) -> int:
+        return len(self.rounds)
+
+    def _slot(self, number: int) -> int:
+        rounds = self.rounds
+        if not rounds or number > rounds[-1]:
+            return -1  # a round newer than any cached: the usual lookup
+        slot = bisect_left(rounds, number)
+        return slot if rounds[slot] == number else -1
+
+    def __contains__(self, number: int) -> bool:
+        return self._slot(number) >= 0
+
+    def payload(self, number: int) -> Optional[Dict[str, Any]]:
+        """The cached answer for ``number``, rebuilt, or None."""
+        slot = self._slot(number)
+        if slot < 0:
+            return None
+        status = _STATUSES[self.codes[slot]]
+        value = None if status == "skipped" else self.values[slot]
+        return _round_payload(number, value, status)
+
+    def put(
+        self, number: int, value: Optional[float], status: str, bound: int
+    ) -> None:
+        """Cache a new round; beyond ``bound`` rounds, drop the oldest."""
+        if not -(2**63) <= number < 2**63:
+            return  # too wide for the array: a retry meets the watermark
+        slot = bisect_left(self.rounds, number)
+        self.rounds.insert(slot, number)
+        self.values.insert(slot, math.nan if value is None else value)
+        self.codes.insert(slot, _STATUS_CODES[status])
+        excess = len(self.rounds) - bound
+        if excess > 0:
+            del self.rounds[:excess]
+            del self.values[:excess]
+            del self.codes[:excess]
 
 
 class ShardServer(VoterServer):
@@ -90,8 +151,8 @@ class ShardServer(VoterServer):
     that scales to millions of series; ``sqlite``; ``memory``).
 
     Engine residency is LRU-bounded at ``max_resident_series``: idle
-    engines are flushed through the tiered store and dropped, and any
-    known series — hosted before a restart, or evicted — is rehydrated
+    engines are dropped (every vote already wrote their state through
+    the tiered store), and any known series — hosted before a restart, or evicted — is rehydrated
     transparently on its next request, bit-identically to an engine
     that never left memory.
     """
@@ -124,11 +185,17 @@ class ShardServer(VoterServer):
         self.max_resident_series = max_resident_series
         self._engines: "OrderedDict[str, Any]" = OrderedDict()
         self._series_pending: Dict[str, Dict[int, Dict[str, Optional[float]]]] = {}
-        # Replay cache: round -> (value, status); the answer payload is
-        # rebuilt on replay, which keeps each entry small.
-        self._series_voted: Dict[str, Dict[int, Tuple[Optional[float], str]]] = {}
+        # Replay cache: the answer payload is rebuilt on replay, which
+        # keeps each round small.
+        self._series_voted: Dict[str, _ReplayWindow] = {}
         self._series_watermark: Dict[str, int] = self._load_watermarks()
         self._watermark_appends = 0
+        if self._history_dir is not None:
+            self._history_dir.mkdir(parents=True, exist_ok=True)
+        # Each series' last accepted value, kept beside its watermark: an
+        # engine rebuilt after eviction holds degraded rounds with it.
+        # It lives in memory only, so a restart still loses it.
+        self._series_last: Dict[str, Any] = {}
         self._tiered = self._build_tiered_store(store, maintenance_interval)
         # Series hosted before a restart (or evicted since): engines are
         # created lazily on their first request, so a freshly restarted
@@ -257,37 +324,45 @@ class ShardServer(VoterServer):
         atomic_write(path, "".join(line + "\n" for line in lines))
         self._watermark_appends = 0
 
-    def _record_watermark(self, series: str, number: int) -> None:
-        """Advance (never rewind) the persisted voted watermark."""
-        current = self._series_watermark.get(series)
-        if current is not None and number <= current:
-            return
-        self._series_watermark[series] = number
+    def _record_watermark(self, marks: Mapping[str, int]) -> None:
+        """Advance (never rewind) the persisted voted watermarks of
+        ``{series: round}``, with one append for all of them."""
+        lines = []
+        for series, number in marks.items():
+            current = self._series_watermark.get(series)
+            if current is not None and number <= current:
+                continue
+            self._series_watermark[series] = number
+            lines.append(json.dumps({"series": series, "round": number}) + "\n")
         path = self._watermark_path()
-        if path is None:
+        if path is None or not lines:
             return
         if self._watermark_appends >= _WATERMARK_COMPACT_EVERY:
             self._write_watermarks()
             return
-        path.parent.mkdir(parents=True, exist_ok=True)
         with path.open("a", encoding="utf-8") as handle:
-            handle.write(json.dumps({"series": series, "round": number}) + "\n")
-        self._watermark_appends += 1
+            handle.write("".join(lines))
+        self._watermark_appends += len(lines)
 
     def _already_voted(self, series: str, number: int) -> bool:
         """Voted before but no cached payload left to replay?"""
-        if number in self._series_voted.get(series, {}):
+        if number in self._series_voted.get(series, ()):
             return False
         watermark = self._series_watermark.get(series)
         return watermark is not None and number <= watermark
 
+    def _replay(self, series: str, number: int) -> Optional[Dict[str, Any]]:
+        """The cached answer of an already voted round, or None."""
+        window = self._series_voted.get(series)
+        return window.payload(number) if window is not None else None
+
     def _cache_result(
         self, series: str, number: int, value: Optional[float], status: str
     ) -> None:
-        voted = self._series_voted.setdefault(series, {})
-        voted[number] = (value, sys.intern(status))
-        while len(voted) > self.replay_cache_rounds:
-            voted.pop(next(iter(voted)))
+        window = self._series_voted.get(series)
+        if window is None:
+            window = self._series_voted[series] = _ReplayWindow()
+        window.put(number, value, status, self.replay_cache_rounds)
 
     # -- per-series engines ------------------------------------------------
 
@@ -302,16 +377,18 @@ class ShardServer(VoterServer):
                 f"unknown series {series!r}", code=ErrorCode.UNKNOWN_SERIES
             )
         # A known-but-not-resident series (evicted, or hosted before a
-        # restart) rehydrates here: the engine is rebuilt from the spec
-        # and its HistoryRecords restore ``(records, update_count)``
-        # through the tiered store, bit-identically to an engine that
-        # never left memory.
+        # restart) rehydrates here: the engine is rebuilt from the spec,
+        # its HistoryRecords restore ``(records, update_count)`` through
+        # the tiered store and its last accepted value comes back from
+        # the shard, so it votes bit-identically to an engine that never
+        # left memory.
         store = (
             self._tiered.store_for(series) if self._tiered is not None else None
         )
         engine = build_engine(
             self.spec, history_store=store, registry=self.registry
         )
+        engine.last_accepted = self._series_last.get(series)
         self._engines[series] = engine
         if not known:
             self._record_series(series)
@@ -319,14 +396,15 @@ class ShardServer(VoterServer):
         return engine
 
     def _evict_engines(self) -> None:
-        """Drop least-recently-used engines beyond the residency bound."""
+        """Drop least-recently-used engines beyond the residency bound.
+
+        Nothing is written here: every commit path already wrote the
+        series' state through to the store.
+        """
         if self.max_resident_series is None or self._tiered is None:
             return
         while len(self._engines) > self.max_resident_series:
-            series, engine = self._engines.popitem(last=False)
-            history = getattr(engine.voter, "history", None)
-            if history is not None:
-                history.persist()
+            series, _ = self._engines.popitem(last=False)
             self._tiered.evict(series)
 
     @property
@@ -345,10 +423,10 @@ class ShardServer(VoterServer):
     ) -> Dict[str, Any]:
         from ..types import Round
 
-        cached = self._series_voted.get(series, {}).get(number)
+        cached = self._replay(series, number)
         if cached is not None:
             # Replayed write: answer with the original result.
-            return _round_payload(number, *cached)
+            return cached
         if self._already_voted(series, number):
             # Voted before this process (re)started, or evicted from the
             # bounded cache: refuse rather than apply to history twice.
@@ -359,8 +437,9 @@ class ShardServer(VoterServer):
         engine = self._engine_for(series)
         # Watermark before commit: a crash between the two leaves the
         # round refused on retry, never applied to history twice.
-        self._record_watermark(series, number)
+        self._record_watermark({series: number})
         result = engine.process(Round.from_mapping(number, values))
+        self._series_last[series] = engine.last_accepted
         self._cache_result(series, number, result.value, result.status)
         return _round_payload(number, result.value, result.status)
 
@@ -400,40 +479,103 @@ class ShardServer(VoterServer):
                     )
             prepared.append((batch, matrix, modules, rounds))
 
-        results = []
+        # Request-local answers per series: replay-cache hits as of the
+        # request's start (the shared cache is bounded and may evict
+        # them meanwhile), then every round this request votes.  One
+        # watermark append covers every fresh round and is made before
+        # any engine commits: a crash in between leaves the retried
+        # rounds refused, never applied twice.
+        answered: Dict[str, Dict[int, Dict[str, Any]]] = {}
+        marks: Dict[str, int] = {}
+        for batch, _, _, rounds in prepared:
+            series = batch["series"]
+            known = answered.setdefault(series, {})
+            fresh = []
+            for number in rounds:
+                cached = self._replay(series, number)
+                if cached is not None:
+                    known[number] = cached
+                else:
+                    fresh.append(number)
+            if fresh:
+                top = max(fresh)
+                marks[series] = max(top, marks.get(series, top))
+        if marks:
+            self._record_watermark(marks)
+
+        # Consecutive batches with one module list fuse in one kernel
+        # call.  A series seen again starts a new stack, so its second
+        # batch sees the first one's commit and replays its rounds.
+        stack: List[Tuple[str, np.ndarray, List[int]]] = []
+        stacked: Set[str] = set()
+        stack_modules: List[str] = []
         for batch, matrix, modules, rounds in prepared:
             series = batch["series"]
-            voted = self._series_voted.get(series, {})
-            # Assemble into a batch-local map first: the shared cache may
-            # evict rounds of this very batch once they are inserted.
-            answers: Dict[int, Dict[str, Any]] = {
-                n: _round_payload(n, *voted[n]) for n in rounds if n in voted
-            }
+            if stack and (modules != stack_modules or series in stacked):
+                self._vote_stack(stack, stack_modules, answered)
+                stack, stacked = [], set()
+            known = answered[series]
             fresh: List[int] = []
             seen = set()
             for i, number in enumerate(rounds):
-                if number not in answers and number not in seen:
+                if number not in known and number not in seen:
                     seen.add(number)
                     fresh.append(i)
             if fresh:
-                engine = self._engine_for(series)
-                # One watermark append per batch, made before the engine
-                # commits the batch's history: a crash in between leaves
-                # the retried rounds refused, never applied twice.
-                self._record_watermark(series, max(rounds[i] for i in fresh))
-                outcome = engine.process_batch(matrix[fresh], modules)
-                values = outcome.values.tolist()
-                statuses = outcome.statuses.tolist()
-                for k, i in enumerate(fresh):
-                    number, value = rounds[i], values[k]
-                    if math.isnan(value):
-                        value = None
-                    answers[number] = _round_payload(number, value, statuses[k])
-                    self._cache_result(series, number, value, statuses[k])
-            results.append(
-                {"series": series, "results": [answers[n] for n in rounds]}
+                stack.append((series, matrix[fresh], [rounds[i] for i in fresh]))
+                stacked.add(series)
+                stack_modules = modules
+        if stack:
+            self._vote_stack(stack, stack_modules, answered)
+        return ok_response(
+            results=[
+                {
+                    "series": batch["series"],
+                    "results": [answered[batch["series"]][n] for n in rounds],
+                }
+                for batch, _, _, rounds in prepared
+            ]
+        )
+
+    def _vote_stack(
+        self,
+        stack: List[Tuple[str, np.ndarray, List[int]]],
+        modules: List[str],
+        answered: Dict[str, Dict[int, Dict[str, Any]]],
+    ) -> None:
+        """Fuse the fresh rows of many series with one kernel call.
+
+        ``stack`` holds ``(series, rows, round numbers)`` of distinct
+        series.  Gathering more engines than ``max_resident_series``
+        evicts some of them before the call; they still commit, since
+        each engine writes through its own store view.
+        """
+        engines = [self._engine_for(series) for series, _, _ in stack]
+        matrix = np.concatenate([rows for _, rows, _ in stack])
+        try:
+            outcome = engines[0].process_batch(
+                matrix,
+                modules,
+                segments=[
+                    (engine, len(numbers))
+                    for engine, (_, _, numbers) in zip(engines, stack)
+                ],
             )
-        return ok_response(results=results)
+        finally:
+            for (series, _, _), engine in zip(stack, engines):
+                self._series_last[series] = engine.last_accepted
+        values = outcome.values.tolist()
+        statuses = outcome.statuses.tolist()
+        row = 0
+        for series, _, numbers in stack:
+            known = answered[series]
+            for number in numbers:
+                value, status = values[row], statuses[row]
+                row += 1
+                if math.isnan(value):
+                    value = None
+                known[number] = _round_payload(number, value, status)
+                self._cache_result(series, number, value, status)
 
     # -- incremental submission, per series --------------------------------
 
@@ -442,7 +584,7 @@ class ShardServer(VoterServer):
         if series is None:
             return super()._op_submit(request)
         number = request["round"]
-        if number in self._series_voted.get(series, {}) or self._already_voted(
+        if number in self._series_voted.get(series, ()) or self._already_voted(
             series, number
         ):
             raise ProtocolError(
@@ -519,6 +661,7 @@ class ShardServer(VoterServer):
             self._series_pending.clear()
             self._series_voted.clear()
             self._series_watermark.clear()
+            self._series_last.clear()
             wm_path = self._watermark_path()
             if wm_path is not None and wm_path.exists():
                 wm_path.unlink()
@@ -530,6 +673,7 @@ class ShardServer(VoterServer):
         self._known_series.discard(series)
         self._series_pending.pop(series, None)
         self._series_voted.pop(series, None)
+        self._series_last.pop(series, None)
         if self._series_watermark.pop(series, None) is not None:
             self._write_watermarks()
         path = self._series_index_path()
@@ -547,6 +691,7 @@ class ShardServer(VoterServer):
         self._series_pending.clear()
         self._series_voted.clear()
         self._series_watermark.clear()
+        self._series_last.clear()
         self._watermark_appends = 0
         path = self._series_index_path()
         if path is not None and path.exists():
@@ -583,7 +728,7 @@ class ShardServer(VoterServer):
         else:
             history.seed(records, count_as_update=False)
         if watermark is not None:
-            self._record_watermark(series, int(watermark))
+            self._record_watermark({series: int(watermark)})
         return ok_response(synced=len(records), series=series)
 
 

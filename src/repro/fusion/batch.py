@@ -2,9 +2,13 @@
 
 :func:`process_matrix` is the engine behind
 :meth:`FusionEngine.process_batch` and the top-level :func:`fuse`
-facade.  It evaluates the engine's fault/quorum policy for every round
-up front with array arithmetic, then dispatches to one of five
-vectorized kernels selected by :meth:`Voter.batch_kernel`:
+facade.  The matrix may stack many series: ``segments`` splits its rows
+between engines configured alike (a shard's series engines), one
+segment per series, and the default is one segment owned by the
+calling engine.  The fault/quorum policy is evaluated for every round
+up front with array arithmetic, each segment against its own engine's
+roster, then one of five vectorized kernels selected by
+:meth:`Voter.batch_kernel` runs over the whole stack:
 
 ``stateless``
     CollationVoter (mean / median / nearest-neighbour) — fully
@@ -13,36 +17,50 @@ vectorized kernels selected by :meth:`Voter.batch_kernel`:
     ClusteringOnlyVoter — per-round sorted-runs clustering on
     compacted values with vectorized margins.
 ``plurality``
-    PluralityVoter — sequential tally loop carrying the tie-break.
+    PluralityVoter — sequential tally loop per segment carrying that
+    voter's tie-break.
 ``incoherence``
     IncoherenceMaskingVoter — dynamic margins precomputed for all
-    rounds, then a sequential loop over the voter's own
+    rounds, then a sequential loop per segment over the voter's own
     ``_apply``/``_outcome`` core (the mask hysteresis is a genuine
     cross-round dependency).
 ``history``
-    The Standard/Me/Sdt/Hybrid/AVOC family — margins and pairwise
-    agreement scores precomputed for all rounds, then a tight
-    sequential loop over preallocated float arrays (history is a
-    genuine cross-round dependency).
+    The Standard/Me/Sdt/Hybrid/AVOC family — margins, agreement scores,
+    record steps, weights, elimination and collation run once over the
+    whole stack; only the history scan runs per segment, over that
+    series' own records (history is a genuine cross-round dependency).
 
 Every path is *bit-identical* to the per-round
-:meth:`FusionEngine.process` loop, including engine statistics,
-``last_accepted`` carry-over, voter history state and raised
-exceptions.  A voter with an attached history store runs the kernel
-too: the ``history`` kernel commits the batch's final state once per
-batch instead of once per round.  Voters or engine configurations
-without a kernel (custom ``vote`` overrides, exclusion rules,
-duplicate or empty module names, weighted-majority collation) fall
-back to the exact per-round loop, and so does a one-row matrix, since
-one round costs less through :meth:`FusionEngine.process` than a
-kernel call's fixed setup.  Every round sent down that loop is counted
-in ``fusion_fallback_rounds_total{algorithm,reason}``.
+:meth:`FusionEngine.process` loop run series by series, in segment
+order: engine statistics, ``last_accepted`` carry-over, voter history
+state and raised exceptions (a ``raise`` policy leaves the segments
+after the failing one untouched).  A voter with an attached history
+store runs the kernel too: the ``history`` kernel commits each
+segment's final state once per call instead of once per round.  Voters
+or engine configurations without a kernel (custom ``vote`` overrides,
+exclusion rules, duplicate or empty module names, weighted-majority
+collation) fall back to the exact per-round loop, and so does a stack
+of one row, since one round costs less through
+:meth:`FusionEngine.process` than a kernel call's fixed setup.  Every
+round sent down that loop is counted in
+``fusion_fallback_rounds_total{algorithm,reason}``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from functools import partial
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
@@ -137,6 +155,7 @@ def process_matrix(
     matrix: Any,
     modules: Optional[Sequence[str]] = None,
     diagnostics: bool = False,
+    segments: Optional[Sequence[Tuple[FusionEngine, int]]] = None,
 ) -> BatchResult:
     """Fuse every row of ``matrix`` through ``engine`` in one batch.
 
@@ -146,6 +165,15 @@ def process_matrix(
     ``rounds_degraded``, ``last_accepted`` and voter history all end
     up in the same state, and ``raise`` fault policies raise the same
     exception at the same round.
+
+    ``segments`` stacks many series into the one call: ``(engine,
+    n_rows)`` pairs, in matrix row order, that split the rows between
+    distinct engines built with the calling engine's configuration.
+    The result and every engine's state are those of calling each
+    segment engine's :meth:`~FusionEngine.process_batch` on its own rows
+    in segment order (round numbers count from 0 within a segment); a
+    ``raise`` policy stops the stack where that loop would stop.  The
+    default is one segment: the calling engine owns every row.
     """
     matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim != 2:
@@ -156,6 +184,10 @@ def process_matrix(
     if len(modules) != matrix.shape[1]:
         raise FusionError("module name count does not match matrix columns")
     n_rounds, n_modules = matrix.shape
+    if segments is None:
+        segments = [(engine, n_rounds)] if n_rounds else []
+    else:
+        segments = _checked_segments(engine, segments, n_rounds)
     if n_rounds == 0:
         # The legacy loop never touched the roster for an empty matrix.
         return BatchResult(
@@ -180,13 +212,9 @@ def process_matrix(
             reason = "single_round"
     if reason is not None:
         engine._obs.fallback_rounds[reason].inc(n_rounds)
-        return _fallback(engine, matrix, modules, diagnostics)
+        return _fallback(segments, matrix, modules, diagnostics)
 
-    for module in modules:
-        if module not in engine.roster:
-            engine.roster.append(module)
-
-    ctx = _BatchContext(engine, matrix, modules, diagnostics)
+    ctx = _BatchContext(engine, segments, matrix, modules, diagnostics)
     if kernel == "stateless":
         _run_stateless(ctx)
     elif kernel == "clustering":
@@ -200,6 +228,42 @@ def process_matrix(
     else:  # pragma: no cover - registry/hook mismatch
         raise FusionError(f"unknown batch kernel {kernel!r}")
     return ctx.finish()
+
+
+def _checked_segments(
+    engine: FusionEngine,
+    segments: Sequence[Tuple[FusionEngine, int]],
+    n_rounds: int,
+) -> List[Tuple[FusionEngine, int]]:
+    """Validate a stack layout against the matrix and the calling engine."""
+    checked = [(owner, int(rows)) for owner, rows in segments]
+    if any(rows < 1 for _, rows in checked):
+        raise FusionError("every segment needs at least one row")
+    if sum(rows for _, rows in checked) != n_rounds:
+        raise FusionError("segment rows do not add up to the matrix rows")
+    if len({id(owner) for owner, _ in checked}) != len(checked):
+        # A second segment would have to see the first one's commit.
+        raise FusionError("an engine may own only one segment")
+    for owner, _ in checked:
+        if owner is not engine and not _same_configuration(engine, owner):
+            raise FusionError(
+                "segment engines must share the calling engine's configuration"
+            )
+    return checked
+
+
+def _same_configuration(a: FusionEngine, b: FusionEngine) -> bool:
+    """Do two engines vote and degrade rounds identically?"""
+    return (
+        type(a.voter) is type(b.voter)
+        and getattr(a.voter, "params", None) == getattr(b.voter, "params", None)
+        and getattr(a.voter, "collation", None)
+        == getattr(b.voter, "collation", None)
+        and a.exclusion == b.exclusion
+        and a.exclusion_threshold == b.exclusion_threshold
+        and a.fault_policy == b.fault_policy
+        and a.quorum == b.quorum
+    )
 
 
 def fuse(
@@ -282,19 +346,22 @@ def fuse(
 
 
 def _fallback(
-    engine: FusionEngine,
+    segments: List[Tuple[FusionEngine, int]],
     matrix: np.ndarray,
     modules: List[str],
     diagnostics: bool,
 ) -> BatchResult:
     """The exact legacy per-round loop, packaged as a BatchResult."""
     results: List[FusionResult] = []
-    for number, row in enumerate(matrix):
-        mapping = {
-            m: (None if is_missing(v) else float(v))
-            for m, v in zip(modules, row)
-        }
-        results.append(engine.process(Round.from_mapping(number, mapping)))
+    first = 0
+    for owner, rows in segments:
+        for number, row in enumerate(matrix[first : first + rows]):
+            mapping = {
+                m: (None if is_missing(v) else float(v))
+                for m, v in zip(modules, row)
+            }
+            results.append(owner.process(Round.from_mapping(number, mapping)))
+        first += rows
     values = np.asarray(
         [np.nan if r.value is None else float(r.value) for r in results]
     )
@@ -312,11 +379,19 @@ def _fallback(
 
 
 class _BatchContext:
-    """Shared per-batch state: policy evaluation, outputs, bookkeeping."""
+    """Shared per-batch state: policy evaluation, outputs, bookkeeping.
+
+    The rows are a stack of segments, one per engine, kept in ``spans``
+    as ``(engine, first row, end row)``.  ``engine`` is the calling
+    engine, whose configuration every segment shares; per-series state
+    (roster, ``last_accepted``, statistics, voter state) is read and
+    written through each segment's own engine.
+    """
 
     def __init__(
         self,
         engine: FusionEngine,
+        segments: List[Tuple[FusionEngine, int]],
         matrix: np.ndarray,
         modules: List[str],
         diagnostics: bool,
@@ -328,18 +403,31 @@ class _BatchContext:
         self.n_rounds, self.n_modules = matrix.shape
         self.mask = ~np.isnan(matrix)
         self.counts = self.mask.sum(axis=1)
-        self.roster_size = len(engine.roster)
+        lengths = [rows for _, rows in segments]
+        ends = np.cumsum(lengths).tolist()
+        firsts = [0] + ends[:-1]
+        self.spans = [
+            (owner, first, end)
+            for (owner, _), first, end in zip(segments, firsts, ends)
+        ]
+        # Row -> number of the round within its segment (diagnostics).
+        self.round_of = np.arange(self.n_rounds) - np.repeat(firsts, lengths)
 
+        # Every engine learns the batch's modules before its first round
+        # (in finish()), so each segment's policy sees that roster size;
+        # it is never 0, since the batch has modules.
+        rosters = [
+            len(owner.roster) + sum(m not in owner.roster for m in modules)
+            for owner, _ in segments
+        ]
+        quorum = engine.quorum
+        roster_size = np.repeat(rosters, lengths)
+        required = np.repeat([quorum.required_count(r) for r in rosters], lengths)
         policy = engine.fault_policy
         reasons = np.zeros(self.n_rounds, dtype=np.int8)
-        if self.roster_size <= 0:
-            reasons[:] = _MISSING
-        else:
-            missing_fraction = 1.0 - self.counts / self.roster_size
-            reasons[missing_fraction > policy.missing_tolerance] = _MISSING
-        required = engine.quorum.required_count(self.roster_size)
-        if required > 0:
-            reasons[(reasons == 0) & (self.counts < required)] = _QUORUM_ENGINE
+        missing_fraction = 1.0 - self.counts / roster_size
+        reasons[missing_fraction > policy.missing_tolerance] = _MISSING
+        reasons[(reasons == 0) & (self.counts < required)] = _QUORUM_ENGINE
         # A fully-empty round that slipped past every earlier check
         # (missing_tolerance >= 1, no quorum) raises EmptyRoundError
         # inside the voter, which the engine maps to on_missing_majority.
@@ -351,6 +439,8 @@ class _BatchContext:
             _CONFLICT: policy.on_conflict,
             _EMPTY: policy.on_missing_majority,
         }
+        # The first ``raise`` row stops the whole stack: segments before
+        # it commit, later ones are never reached.
         cutoff = self.n_rounds
         for code, action in self.actions.items():
             if action == "raise":
@@ -370,22 +460,31 @@ class _BatchContext:
         self.outcomes: Optional[List[Optional[VoteOutcome]]] = (
             [None] * self.n_rounds if diagnostics else None
         )
-        self.writebacks: List[Any] = []
+        #: Per-segment state commits, run by finish() in segment order.
+        self.writebacks: List[List[Callable[[], None]]] = [[] for _ in segments]
 
-    def _observe(self, cutoff: int) -> None:
+    def reached(self) -> Iterator[Tuple[int, FusionEngine, int, int]]:
+        """``(index, engine, first, end)`` of every segment the stack
+        reaches: segments wholly past the cutoff are left untouched."""
+        for index, (owner, first, end) in enumerate(self.spans):
+            if first > self.cutoff:
+                return
+            yield index, owner, first, end
+
+    def _observe(self, engine: FusionEngine, first: int, limit: int) -> None:
         """Mirror the engine-stat mutations into the metrics registry.
 
         Runs before the ``raise``-policy exception, so a rejected batch
         still records the rounds it consumed — exactly like the
         per-round loop, where ``_degraded`` counts before raising.
         """
-        obs = self.engine._obs
+        obs = engine._obs
         if not obs.enabled:
             return
-        processed = cutoff + (1 if cutoff < self.n_rounds else 0)
+        processed = limit - first
         obs.rounds.inc(processed)
         obs.batch_rounds.inc(processed)
-        codes = self.reasons[:processed]
+        codes = self.reasons[first:limit]
         if not codes.any():
             return
         counts = np.bincount(codes, minlength=len(_REASON_LABELS_BY_CODE) + 1)
@@ -409,30 +508,58 @@ class _BatchContext:
         return True
 
     def finish(self) -> BatchResult:
-        engine = self.engine
         cutoff = self.cutoff
         statuses = np.full(self.n_rounds, "ok", dtype="<U7")
-        values = self.outputs
-        last = engine.last_accepted
-        degraded = 0
         results: Optional[List[FusionResult]] = (
             [] if self.diagnostics else None
         )
+        for index, engine, first, end in self.reached():
+            for module in self.modules:
+                if module not in engine.roster:
+                    engine.roster.append(module)
+            stop = min(end, cutoff)
+            self._settle(engine, first, stop, statuses, results)
+            self._observe(engine, first, min(cutoff + 1, end))
+            for writeback in self.writebacks[index]:
+                writeback()
+            if cutoff < end:
+                self._reject(engine, first)
+        return BatchResult(
+            modules=tuple(self.modules),
+            values=self.outputs,
+            statuses=statuses,
+            weights=self.out_weights,
+            results=results,
+        )
 
-        if results is None and cutoff == self.n_rounds and not self.reasons.any():
+    def _settle(
+        self,
+        engine: FusionEngine,
+        first: int,
+        stop: int,
+        statuses: np.ndarray,
+        results: Optional[List[FusionResult]],
+    ) -> None:
+        """Statuses, held values and engine statistics of one segment's
+        rows before the cutoff."""
+        values = self.outputs
+        last = engine.last_accepted
+        degraded = 0
+        if results is None and not self.reasons[first:stop].any():
             # Pure fast path: every round voted, nothing to replay.
-            if self.n_rounds:
-                last = float(values[-1])
+            if stop > first:
+                last = float(values[stop - 1])
         else:
-            for number in range(cutoff):
+            for number in range(first, stop):
                 code = int(self.reasons[number])
+                round_number = number - first
                 if code == 0:
                     value = float(values[number])
                     last = value
                     if results is not None:
                         results.append(
                             FusionResult(
-                                round_number=number,
+                                round_number=round_number,
                                 value=value,
                                 status="ok",
                                 outcome=self.outcomes[number],
@@ -446,7 +573,9 @@ class _BatchContext:
                     if results is not None:
                         results.append(
                             FusionResult(
-                                round_number=number, value=last, status="held"
+                                round_number=round_number,
+                                value=last,
+                                status="held",
                             )
                         )
                 else:
@@ -455,40 +584,33 @@ class _BatchContext:
                     if results is not None:
                         results.append(
                             FusionResult(
-                                round_number=number, value=None, status="skipped"
+                                round_number=round_number,
+                                value=None,
+                                status="skipped",
                             )
                         )
-
-        engine.rounds_processed += cutoff
+        engine.rounds_processed += stop - first
         engine.rounds_degraded += degraded
         engine.last_accepted = last
-        self._observe(cutoff)
-        for writeback in self.writebacks:
-            writeback()
-        if cutoff < self.n_rounds:
-            engine.rounds_processed += 1
-            engine.rounds_degraded += 1
-            code = int(self.reasons[cutoff])
-            if code == _QUORUM_ENGINE:
-                raise QuorumNotReachedError(
-                    int(self.counts[cutoff]),
-                    engine.quorum.required_count(self.roster_size),
-                )
-            if code == _CONFLICT:
-                raise FusionError(f"round {cutoff} rejected: no majority")
-            reason = (
-                "no values present"
-                if code == _EMPTY
-                else "majority of values missing"
+
+    def _reject(self, engine: FusionEngine, first: int) -> None:
+        """Count and raise the ``raise``-policy round at the cutoff."""
+        cutoff = self.cutoff
+        engine.rounds_processed += 1
+        engine.rounds_degraded += 1
+        code = int(self.reasons[cutoff])
+        if code == _QUORUM_ENGINE:
+            raise QuorumNotReachedError(
+                int(self.counts[cutoff]),
+                engine.quorum.required_count(len(engine.roster)),
             )
-            raise FusionError(f"round {cutoff} rejected: {reason}")
-        return BatchResult(
-            modules=tuple(self.modules),
-            values=values,
-            statuses=statuses,
-            weights=self.out_weights,
-            results=results,
+        number = cutoff - first
+        if code == _CONFLICT:
+            raise FusionError(f"round {number} rejected: no majority")
+        reason = (
+            "no values present" if code == _EMPTY else "majority of values missing"
         )
+        raise FusionError(f"round {number} rejected: {reason}")
 
 
 def _present_modules(ctx: _BatchContext, columns: np.ndarray) -> List[str]:
@@ -506,7 +628,7 @@ def _run_stateless(ctx: _BatchContext) -> None:
         for number in np.flatnonzero(ctx.votable):
             present = _present_modules(ctx, np.flatnonzero(ctx.mask[number]))
             ctx.outcomes[number] = VoteOutcome(
-                round_number=int(number),
+                round_number=int(ctx.round_of[number]),
                 value=float(out[number]),
                 weights={m: 1.0 for m in present},
             )
@@ -543,7 +665,7 @@ def _run_clustering(ctx: _BatchContext) -> None:
             names = _present_modules(ctx, present)
             weights = {m: float(w) for m, w in zip(names, in_cluster)}
             ctx.outcomes[number] = VoteOutcome(
-                round_number=int(number),
+                round_number=int(ctx.round_of[number]),
                 value=float(out[number]),
                 weights=weights,
                 eliminated=tuple(
@@ -558,41 +680,46 @@ def _run_clustering(ctx: _BatchContext) -> None:
 
 
 def _run_plurality(ctx: _BatchContext) -> None:
-    voter = ctx.engine.voter
-    tie_break = voter._last_output
-    for number in np.flatnonzero(ctx.votable):
-        if number >= ctx.cutoff:
-            break
-        values = ctx.matrix[number, ctx.mask[number]].tolist()
-        tallies: Dict[float, float] = {}
-        for value in values:
-            tallies[value] = tallies.get(value, 0.0) + 1.0
-        top = max(tallies.values())
-        winners = [v for v, tally in tallies.items() if tally == top]
-        if len(winners) == 1:
-            winner = winners[0]
-        elif tie_break is not None and tie_break in winners:
-            winner = tie_break
-        else:
-            if not ctx.mark_conflict(int(number)):
+    """PluralityVoter: a tally loop per segment, each carrying its own
+    voter's tie-break."""
+    for index, engine, first, end in ctx.reached():
+        voter = engine.voter
+        tie_break = voter._last_output
+        stopped = False
+        for number in first + np.flatnonzero(ctx.votable[first:end]):
+            if number >= ctx.cutoff:
                 break
-            continue
-        tie_break = winner
-        ctx.outputs[number] = winner
-        if ctx.diagnostics:
-            ctx.out_weights[number, ctx.mask[number]] = 1.0
-            present = _present_modules(ctx, np.flatnonzero(ctx.mask[number]))
-            ctx.outcomes[number] = VoteOutcome(
-                round_number=int(number),
-                value=winner,
-                weights={m: 1.0 for m in present},
-                diagnostics={"tallies": tallies},
-            )
-
-    def writeback() -> None:
-        voter._last_output = tie_break
-
-    ctx.writebacks.append(writeback)
+            values = ctx.matrix[number, ctx.mask[number]].tolist()
+            tallies: Dict[float, float] = {}
+            for value in values:
+                tallies[value] = tallies.get(value, 0.0) + 1.0
+            top = max(tallies.values())
+            winners = [v for v, tally in tallies.items() if tally == top]
+            if len(winners) == 1:
+                winner = winners[0]
+            elif tie_break is not None and tie_break in winners:
+                winner = tie_break
+            else:
+                if not ctx.mark_conflict(int(number)):
+                    stopped = True
+                    break
+                continue
+            tie_break = winner
+            ctx.outputs[number] = winner
+            if ctx.diagnostics:
+                ctx.out_weights[number, ctx.mask[number]] = 1.0
+                present = _present_modules(ctx, np.flatnonzero(ctx.mask[number]))
+                ctx.outcomes[number] = VoteOutcome(
+                    round_number=int(ctx.round_of[number]),
+                    value=winner,
+                    weights={m: 1.0 for m in present},
+                    diagnostics={"tallies": tallies},
+                )
+        ctx.writebacks[index].append(
+            partial(setattr, voter, "_last_output", tie_break)
+        )
+        if stopped:
+            break
 
 
 def _run_incoherence(ctx: _BatchContext) -> None:
@@ -600,36 +727,39 @@ def _run_incoherence(ctx: _BatchContext) -> None:
 
     The dynamic margin is the only per-round quantity that vectorizes
     (it dominates the scalar cost via ``np.median``); the mask/score
-    recurrence itself is replayed through the voter's ``_apply`` and
-    ``_outcome`` methods so the two paths cannot drift apart.  State is
-    mutated in place — the votable set is fixed up front and this
-    kernel never marks conflicts, so there is no writeback to defer.
+    recurrence itself is replayed through each segment voter's
+    ``_apply`` and ``_outcome`` methods so the two paths cannot drift
+    apart.  State is mutated in place — the votable set is fixed up
+    front and this kernel never marks conflicts, so there is no
+    writeback to defer.
     """
-    voter = ctx.engine.voter
-    params = voter.params
+    params = ctx.engine.voter.params
     margins = kernels.batch_dynamic_margins(
         ctx.matrix, params.error, params.min_margin, ctx.counts
     )
-    ensured = False
-    for number in np.flatnonzero(ctx.votable):
-        if number >= ctx.cutoff:
-            break
-        if not ensured:
-            # The scalar path ensures every round with the full module
-            # roster; once is equivalent (ensure only inserts zeros).
-            voter._ensure(ctx.modules)
-            ensured = True
-        columns = np.flatnonzero(ctx.mask[number])
-        names = _present_modules(ctx, columns)
-        values = [float(v) for v in ctx.matrix[number, columns]]
-        margin = float(margins[number])
-        output, weights = voter._apply(names, values, margin)
-        ctx.outputs[number] = output
-        if ctx.diagnostics:
-            ctx.out_weights[number, columns] = weights
-            ctx.outcomes[number] = voter._outcome(
-                int(number), names, values, weights, margin, output
-            )
+    for _, engine, first, end in ctx.reached():
+        voter = engine.voter
+        ensured = False
+        for number in first + np.flatnonzero(ctx.votable[first:end]):
+            if number >= ctx.cutoff:
+                break
+            if not ensured:
+                # The scalar path ensures every round with the full module
+                # roster; once is equivalent (ensure only inserts zeros).
+                voter._ensure(ctx.modules)
+                ensured = True
+            columns = np.flatnonzero(ctx.mask[number])
+            names = _present_modules(ctx, columns)
+            values = [float(v) for v in ctx.matrix[number, columns]]
+            margin = float(margins[number])
+            output, weights = voter._apply(names, values, margin)
+            ctx.outputs[number] = output
+            if ctx.diagnostics:
+                ctx.out_weights[number, columns] = weights
+                ctx.outcomes[number] = voter._outcome(
+                    int(ctx.round_of[number]), names, values, weights, margin,
+                    output,
+                )
 
 
 #: Adaptive segment-scan block sizing: start small so event-dense
@@ -641,23 +771,20 @@ _SCAN_BLOCK_MAX = 1024
 
 
 def _run_history(ctx: _BatchContext) -> None:
-    engine = ctx.engine
-    voter = engine.voter
+    """The history-aware family over a stack of series.
+
+    Margins, agreement scores and the record steps are row-parallel and
+    run once over the whole stack; so do weights, elimination and
+    collation, once every segment's history scan has produced the
+    records each of its rounds voted with.  The scan is the one
+    sequential part: per segment, over that series' own module universe
+    and state.
+    """
+    voter = ctx.engine.voter
     params = voter.params
     from ..voting.avoc import AvocVoter
 
-    history = voter.history
-    existing = list(history.modules)
-    known = set(existing)
-    universe = existing + [m for m in ctx.modules if m not in known]
-    n_univ = len(universe)
-    state = np.asarray([history.get(m) for m in universe], dtype=float)
-    column_of = {m: i for i, m in enumerate(universe)}
-    cols = np.asarray([column_of[m] for m in ctx.modules], dtype=np.intp)
-
-    update_count0 = history.update_count
     avoc = isinstance(voter, AvocVoter)
-    bootstraps = voter.bootstraps_used if avoc else 0
     bootstrap_mode = params.bootstrap_mode if avoc else "never"
     auto_bootstrap = bootstrap_mode == "auto"
     failure_tolerance = getattr(voter, "FAILURE_TOLERANCE", 0.05)
@@ -666,6 +793,7 @@ def _run_history(ctx: _BatchContext) -> None:
     eliminates = voter.eliminates and params.elimination != "none"
     fixed_elimination = params.elimination == "fixed"
     elimination_cutoff = params.elimination_threshold
+    history = voter.history
     additive = history.policy == "additive"
     reward, penalty = history.reward, history.penalty
     learning_rate = history.learning_rate
@@ -696,19 +824,32 @@ def _run_history(ctx: _BatchContext) -> None:
 
     votable_idx = np.flatnonzero(ctx.votable)
     n_v = int(votable_idx.size)
-    if n_v:
-        mask_v = ctx.mask[votable_idx]
-        counts_v = ctx.counts[votable_idx]
-        # Steps and presence in record-universe column space: absent
-        # modules carry a 0.0 step (additive: x + 0.0 == x bitwise) and
-        # a False presence bit (EMA skips them entirely).
-        step_univ = np.zeros((n_v, n_univ))
-        step_univ[:, cols] = np.where(mask_v, step_all[votable_idx], 0.0)
-        present_univ = np.zeros((n_v, n_univ), dtype=bool)
-        present_univ[:, cols] = mask_v
+    mask_v = ctx.mask[votable_idx]
+    #: Records each votable round voted with, in matrix column order.
+    records_v = np.empty((n_v, ctx.n_modules))
+    is_bootstrap = np.zeros(n_v, dtype=bool)
+    #: Per reached segment: (first, end) in votable space, its module
+    #: universe, per-round before-states and final state (diagnostics).
+    scanned: List[Tuple[int, int, List[str], np.ndarray, np.ndarray]] = []
 
-        before_univ = np.empty((n_v, n_univ))
-        is_bootstrap = np.zeros(n_v, dtype=bool)
+    def scan_segment(index: int, engine: FusionEngine, first: int, end: int):
+        seg_voter = engine.voter
+        seg_history = seg_voter.history
+        existing = list(seg_history.modules)
+        known = set(existing)
+        universe = existing + [m for m in ctx.modules if m not in known]
+        n_univ = len(universe)
+        state = np.asarray([seg_history.get(m) for m in universe], dtype=float)
+        column_of = {m: i for i, m in enumerate(universe)}
+        cols = np.asarray([column_of[m] for m in ctx.modules], dtype=np.intp)
+        update_count0 = seg_history.update_count
+        bootstraps = seg_voter.bootstraps_used if avoc else 0
+        v_first, v_end = np.searchsorted(votable_idx, (first, end)).tolist()
+        n_seg = v_end - v_first
+        rows = votable_idx[v_first:v_end]
+        seg_mask = mask_v[v_first:v_end]
+        before_univ = np.empty((n_seg, n_univ))
+        step_univ = present_univ = None
 
         def scalar_round(i: int) -> None:
             """One segment-boundary round, exactly as the scalar loop.
@@ -719,8 +860,8 @@ def _run_history(ctx: _BatchContext) -> None:
             """
             nonlocal bootstraps
             before_univ[i] = state
-            number = int(votable_idx[i])
-            present = np.flatnonzero(mask_v[i])
+            number = int(rows[i])
+            present = np.flatnonzero(seg_mask[i])
             slots = cols[present]
             values = ctx.matrix[number, present]
             records = state[slots]
@@ -737,7 +878,7 @@ def _run_history(ctx: _BatchContext) -> None:
                     and bool(np.all(records <= failure_tolerance))
                 )
             if bootstrap:
-                is_bootstrap[i] = True
+                is_bootstrap[v_first + i] = True
                 bootstraps += 1
                 margin = float(margins[number] * params.soft_threshold)
                 runs = kernels.sorted_runs(values, margin)
@@ -751,7 +892,7 @@ def _run_history(ctx: _BatchContext) -> None:
                     ctx.out_weights[number, present] = seeded
                     names = _present_modules(ctx, present)
                     ctx.outcomes[number] = VoteOutcome(
-                        round_number=number,
+                        round_number=int(ctx.round_of[number]),
                         value=value,
                         weights={m: float(w) for m, w in zip(names, seeded)},
                         history=dict(zip(universe, state.tolist())),
@@ -766,7 +907,7 @@ def _run_history(ctx: _BatchContext) -> None:
                         },
                     )
                 return
-            step = step_univ[i, slots]
+            step = step_all[number, present]
             if additive:
                 updated = records + step
             else:
@@ -775,18 +916,26 @@ def _run_history(ctx: _BatchContext) -> None:
 
         i = 0
         block = _SCAN_BLOCK_MIN
-        if auto_bootstrap and update_count0 == 0:
+        if auto_bootstrap and update_count0 == 0 and n_seg:
             # The "fresh set" trigger needs update_count == 0, which
             # only the very first voted round can satisfy — check it
             # scalar, then the scans only watch the "failed" trigger.
             scalar_round(0)
             i = 1
-        while i < n_v:
-            if bootstrap_mode == "always":
+        while i < n_seg:
+            b = min(block, n_seg - i)
+            if bootstrap_mode == "always" or b == 1:
                 scalar_round(i)
                 i += 1
                 continue
-            b = min(block, n_v - i)
+            if step_univ is None:
+                # Steps and presence in record-universe column space:
+                # absent modules carry a 0.0 step (additive: x + 0.0 ==
+                # x bitwise) and a False presence bit (EMA skips them).
+                step_univ = np.zeros((n_seg, n_univ))
+                step_univ[:, cols] = np.where(seg_mask, step_all[rows], 0.0)
+                present_univ = np.zeros((n_seg, n_univ), dtype=bool)
+                present_univ[:, cols] = seg_mask
             steps_b = step_univ[i : i + b]
             if additive:
                 befores_b, finals_b, events_b = kernels.additive_scan(
@@ -802,7 +951,7 @@ def _run_history(ctx: _BatchContext) -> None:
                 # round's update, so it also ends the segment.
                 failed_b = np.all(
                     (befores_b[:, cols] <= failure_tolerance)
-                    | ~mask_v[i : i + b],
+                    | ~seg_mask[i : i + b],
                     axis=1,
                 )
                 events_b = failed_b if events_b is None else events_b | failed_b
@@ -822,71 +971,79 @@ def _run_history(ctx: _BatchContext) -> None:
             if committed < b:
                 scalar_round(i)
                 i += 1
+        records_v[v_first:v_end] = before_univ[:, cols]
+        if ctx.diagnostics:
+            scanned.append((v_first, v_end, universe, before_univ, state))
 
-        regular = ~is_bootstrap
-        if regular.any():
-            values_v = ctx.matrix[votable_idx]
-            scores_v = scores_all[votable_idx]
-            records_v = before_univ[:, cols]
-            if source == "history":
-                weights_v = records_v.copy()
-            elif source == "agreement":
-                weights_v = scores_v.copy()
-            else:
-                weights_v = np.ones((n_v, ctx.n_modules))
-            if eliminates:
-                if fixed_elimination:
-                    eliminated_v = records_v < elimination_cutoff
-                else:
-                    means = kernels.batch_masked_mean(
-                        records_v, mask_v, counts_v, regular
-                    )
-                    eliminated_v = records_v < (means[:, None] - 1e-12)
-                weights_v[eliminated_v] = 0.0
-            out_v = kernels.batch_weighted_collate(
-                collation, values_v, weights_v, mask_v, counts_v, regular
+        update_count = update_count0 + n_seg
+        rounds_voted = seg_voter._rounds_voted + n_seg
+        # HistoryAwareVoter.vote calls history.ensure() before it rejects
+        # an empty round — those rounds materialise records without
+        # updating them.
+        limit = min(ctx.cutoff + 1, end)
+        materialised = bool(n_seg) or bool(
+            np.any(ctx.reasons[first:limit] == _EMPTY)
+        )
+        final = state
+
+        def writeback() -> None:
+            if materialised:
+                seg_history.absorb(dict(zip(universe, final)), update_count)
+            seg_voter._rounds_voted = rounds_voted
+            if avoc:
+                seg_voter._bootstraps_used = bootstraps
+
+        ctx.writebacks[index].append(writeback)
+
+    for index, engine, first, end in ctx.reached():
+        scan_segment(index, engine, first, end)
+
+    regular = ~is_bootstrap
+    if not regular.any():
+        return
+    values_v = ctx.matrix[votable_idx]
+    scores_v = scores_all[votable_idx]
+    counts_v = ctx.counts[votable_idx]
+    if source == "history":
+        weights_v = records_v.copy()
+    elif source == "agreement":
+        weights_v = scores_v.copy()
+    else:
+        weights_v = np.ones((n_v, ctx.n_modules))
+    if eliminates:
+        if fixed_elimination:
+            eliminated_v = records_v < elimination_cutoff
+        else:
+            means = kernels.batch_masked_mean(records_v, mask_v, counts_v, regular)
+            eliminated_v = records_v < (means[:, None] - 1e-12)
+        weights_v[eliminated_v] = 0.0
+    out_v = kernels.batch_weighted_collate(
+        collation, values_v, weights_v, mask_v, counts_v, regular
+    )
+    sel = np.flatnonzero(regular)
+    ctx.outputs[votable_idx[sel]] = out_v[sel]
+    if not ctx.diagnostics:
+        return
+    for v_first, v_end, universe, before_univ, final in scanned:
+        for i in range(v_first, v_end):
+            if not regular[i]:
+                continue
+            number = int(votable_idx[i])
+            present = np.flatnonzero(mask_v[i])
+            names = _present_modules(ctx, present)
+            weights = weights_v[i, present]
+            # The next round's before-state is this round's after-state;
+            # the segment's last round's is its final state.
+            k = i - v_first
+            after = before_univ[k + 1] if i + 1 < v_end else final
+            ctx.out_weights[number, present] = weights
+            ctx.outcomes[number] = VoteOutcome(
+                round_number=int(ctx.round_of[number]),
+                value=float(out_v[i]),
+                weights={m: float(w) for m, w in zip(names, weights)},
+                history=dict(zip(universe, after.tolist())),
+                agreement={
+                    m: float(s) for m, s in zip(names, scores_v[i, present])
+                },
+                eliminated=tuple(m for m, w in zip(names, weights) if w == 0.0),
             )
-            sel = np.flatnonzero(regular)
-            ctx.outputs[votable_idx[sel]] = out_v[sel]
-            if ctx.diagnostics:
-                for i in sel.tolist():
-                    number = int(votable_idx[i])
-                    present = np.flatnonzero(mask_v[i])
-                    names = _present_modules(ctx, present)
-                    weights = weights_v[i, present]
-                    # The next round's before-state is this round's
-                    # after-state; the last round's is the final state.
-                    after = before_univ[i + 1] if i + 1 < n_v else state
-                    ctx.out_weights[number, present] = weights
-                    ctx.outcomes[number] = VoteOutcome(
-                        round_number=number,
-                        value=float(out_v[i]),
-                        weights={
-                            m: float(w) for m, w in zip(names, weights)
-                        },
-                        history=dict(zip(universe, after.tolist())),
-                        agreement={
-                            m: float(s)
-                            for m, s in zip(names, scores_v[i, present])
-                        },
-                        eliminated=tuple(
-                            m for m, w in zip(names, weights) if w == 0.0
-                        ),
-                    )
-
-    update_count = update_count0 + n_v
-    rounds_voted = voter._rounds_voted + n_v
-    # HistoryAwareVoter.vote calls history.ensure() before it rejects an
-    # empty round — those rounds materialise records without updating
-    # them.
-    limit = min(ctx.cutoff + 1, ctx.n_rounds)
-    materialised = bool(n_v) or bool(np.any(ctx.reasons[:limit] == _EMPTY))
-
-    def writeback() -> None:
-        if materialised:
-            history.absorb(dict(zip(universe, state)), update_count)
-        voter._rounds_voted = rounds_voted
-        if avoc:
-            voter._bootstraps_used = bootstraps
-
-    ctx.writebacks.append(writeback)

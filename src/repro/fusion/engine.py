@@ -197,6 +197,8 @@ class FusionEngine:
         matrix: np.ndarray,
         modules: Optional[Sequence[str]] = None,
         diagnostics: bool = False,
+        *,
+        segments: Optional[Sequence[Tuple["FusionEngine", int]]] = None,
     ):
         """Process a recorded rounds × modules matrix in one batch.
 
@@ -214,14 +216,25 @@ class FusionEngine:
             diagnostics: also record the per-round weight matrix and
                 full :class:`FusionResult` objects (slower; see
                 :meth:`~repro.fusion.batch.BatchResult.to_results`).
+            segments: fuse many series in this one call — ``(engine,
+                n_rows)`` pairs that split the matrix rows, in order,
+                between distinct engines configured like this one (a
+                shard's series engines, all built from one spec).  Each
+                engine ends up exactly as if it had processed its own
+                rows, segment by segment.  Default: this engine owns
+                every row.
         """
         from .batch import process_matrix
 
         if not self._obs.enabled:
-            return process_matrix(self, matrix, modules, diagnostics=diagnostics)
+            return process_matrix(
+                self, matrix, modules, diagnostics=diagnostics, segments=segments
+            )
         start = time.perf_counter()
         try:
-            return process_matrix(self, matrix, modules, diagnostics=diagnostics)
+            return process_matrix(
+                self, matrix, modules, diagnostics=diagnostics, segments=segments
+            )
         finally:
             self._obs.batch_seconds.observe(time.perf_counter() - start)
 

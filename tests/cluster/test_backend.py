@@ -16,6 +16,7 @@ from repro.history import TieredHistoryStore
 from repro.history.migrate import series_filename
 from repro.runtime.pool import fork_available
 from repro.service.client import ServiceError, VoterClient
+from repro.service.protocol import ProtocolError
 from repro.types import Round
 from repro.vdx.examples import AVOC_SPEC
 from repro.vdx.factory import build_engine
@@ -132,6 +133,20 @@ class TestVoteBatch:
         assert again == first
         assert client.stats(series="s")["rounds_processed"] == 10
 
+    def test_replay_keeps_every_status_and_out_of_order_rounds(self, client):
+        rows = rows_for(6)
+        rows[2][1] = None  # misses the 100 % quorum: skipped
+        rows[3][0:2] = [None, None]  # majority missing: held
+        batch = {"series": "s", "rounds": [4, 2, 3, 0, 1, 5],
+                 "modules": MODULES, "rows": rows}
+        first = client.vote_batch([batch])
+        statuses = [r["status"] for r in first[0]["results"]]
+        assert statuses == ["ok", "ok", "skipped", "held", "ok", "ok"]
+        assert client.vote_batch([batch]) == first
+        replay = client.vote(3, dict(zip(MODULES, rows[2])), series="s")
+        assert replay == first[0]["results"][2]
+        assert client.stats(series="s")["rounds_processed"] == 6
+
     def test_duplicate_rounds_within_one_batch(self, client):
         rows = rows_for(3)
         results = client.vote_batch(
@@ -188,6 +203,18 @@ class TestReplayCacheBounds:
                 with pytest.raises(ServiceError, match="already voted"):
                     c.vote(0, dict(zip(MODULES, rows[0])), series="s")
                 assert c.stats(series="s")["rounds_processed"] == 20
+        finally:
+            server.stop()
+
+    def test_round_beyond_int64_is_voted_once_and_never_replayed(self):
+        server = ShardServer(AVOC_SPEC)
+        values = dict(zip(MODULES, [18.0, 18.1, 17.9]))
+        request = {"op": "vote", "series": "s", "round": 2**70,
+                   "values": values}
+        try:
+            assert server.dispatch(request)["result"]["status"] == "ok"
+            with pytest.raises(ProtocolError, match="already voted"):
+                server.dispatch(request)
         finally:
             server.stop()
 
@@ -412,6 +439,205 @@ class TestTieredResidency:
             ShardServer(AVOC_SPEC, history_dir=tmp_path,
                         max_resident_series=0)
 
+    @pytest.mark.parametrize("op", ["vote", "vote_batch"])
+    def test_evicted_series_holds_its_last_accepted_value(self, op):
+        """A rebuilt engine answers a majority-missing round ``held``
+        with the series' last accepted value, as ``fuse()`` does."""
+        modules = ["E1", "E2", "E3", "E4", "E5"]
+        rows = [[10.0, 10.1, 9.9, 10.05, 10.0], [10.2, None, None, None, 10.1]]
+        want = fuse(np.asarray(rows, dtype=float), AVOC_SPEC, modules=modules)
+        for bound in (1, None):
+            server = ShardServer(AVOC_SPEC, store="memory",
+                                 max_resident_series=bound)
+            try:
+                got = {"a": [], "b": []}
+                for number, row in enumerate(rows):
+                    for series in ("a", "b"):  # each evicts the other
+                        got[series].append(
+                            vote_on(server, op, series, number, modules, row)
+                        )
+            finally:
+                server.stop()
+            for answers in got.values():
+                assert [a["status"] for a in answers] == ["ok", "held"]
+                assert [a["value"] for a in answers] == want.values.tolist()
+
+    @pytest.mark.parametrize("op", ["vote", "vote_batch"])
+    def test_materialised_modules_survive_evict_and_rehydrate(
+        self, tmp_path, op
+    ):
+        """A module that only ever misses its reading has a record that
+        ``ensure()`` materialised and no update touched; eviction writes
+        nothing, so the commit must already have stored it."""
+        spec = AVOC_SPEC.with_overrides(quorum="NONE")
+        rows = [[18.0, 18.1, None], [18.05, 17.95, None], [18.1, 18.0, None]]
+        reference = build_engine(spec)
+        for row in rows:
+            reference.process(Round.from_mapping(0, dict(zip(MODULES, row))))
+        server = ShardServer(spec, history_dir=tmp_path, store="packed",
+                             max_resident_series=1)
+        try:
+            for number, row in enumerate(rows):
+                vote_on(server, op, "a", number, MODULES, row)
+            vote_on(server, op, "b", 0, MODULES, rows[0])  # evicts a
+            assert server.resident_series == ("b",)
+            history = server.dispatch({"op": "history", "series": "a"})
+        finally:
+            server.stop()
+        assert "E3" in history["records"]
+        assert history["records"] == reference.voter.history.snapshot()
+        assert history["updates"] == reference.voter.history.update_count
+
+
+def vote_on(server, op, series, number, modules, row):
+    """One round of one series, as a ``vote`` or a one-row ``vote_batch``."""
+    if op == "vote":
+        request = {"op": "vote", "series": series, "round": number,
+                   "values": dict(zip(modules, row))}
+        return server.dispatch(request)["result"]
+    request = {"op": "vote_batch", "batches": [
+        {"series": series, "rounds": [number], "modules": modules,
+         "rows": [row]}]}
+    return server.dispatch(request)["results"][0]["results"][0]
+
+
+class TestStackedVoteBatch:
+    """``vote_batch`` fuses every series of a request in one kernel call,
+    on a churning shard shaped like the ``fleet_churn`` benchmark."""
+
+    MODULES = ["E1", "E2", "E3", "E4", "E5"]
+    N_SERIES = 40
+    BOUND = 8
+
+    def row(self, rng, k):
+        row = 18.0 + rng.normal(0.0, 0.05, size=5)
+        if k % 4 == 0:
+            row[3] += 6.0  # the E4 offset fault
+        draw = rng.random()
+        if draw < 0.05:
+            row[rng.integers(5)] = np.nan  # quorum miss: skipped
+        elif draw < 0.08:
+            row[rng.permutation(5)[:3]] = np.nan  # majority missing: held
+        return [None if np.isnan(v) else float(v) for v in row]
+
+    def test_churning_shard_matches_fuse(self, tmp_path):
+        rng = np.random.default_rng(21)
+        names = [f"fleet-{k}" for k in range(self.N_SERIES)]
+        sent = {name: [] for name in names}
+        answers = {name: [] for name in names}
+        next_round = dict.fromkeys(names, 0)
+        weights = 1.0 / np.arange(1, self.N_SERIES + 1) ** 1.2
+
+        def batch(k):
+            name = names[k]
+            row = self.row(rng, k)
+            number = next_round[name]
+            next_round[name] += 1
+            sent[name].append(row)
+            return {"series": name, "rounds": [number],
+                    "modules": self.MODULES, "rows": [row]}
+
+        # Warm-up: fresh stacks; then Zipf picks; one request holds more
+        # series than the residency bound.
+        requests = [
+            [batch(k) for k in range(lo, lo + 5)]
+            for lo in range(0, self.N_SERIES, 5)
+        ]
+        for size in [6] * 30 + [20] + [6] * 10:
+            picks = rng.choice(self.N_SERIES, size, replace=False,
+                               p=weights / weights.sum())
+            requests.append([batch(int(k)) for k in picks])
+        server = ShardServer(AVOC_SPEC, history_dir=tmp_path, store="packed",
+                             max_resident_series=self.BOUND)
+        try:
+            for request in requests:
+                response = server.dispatch(
+                    {"op": "vote_batch", "batches": request}
+                )
+                for b, result in zip(request, response["results"]):
+                    assert result["series"] == b["series"]
+                    answers[b["series"]].append(result["results"][0])
+            assert server.tiered_store.evictions > 0
+            histories = {
+                name: server.dispatch({"op": "history", "series": name})
+                for name in names
+            }
+        finally:
+            server.stop()
+        statuses = set()
+        for name in names:
+            matrix = np.asarray(sent[name], dtype=float)
+            want = fuse(matrix, AVOC_SPEC, modules=self.MODULES)
+            got = answers[name]
+            assert [a["round"] for a in got] == list(range(len(got)))
+            assert [a["status"] for a in got] == want.statuses.tolist()
+            assert [a["value"] for a in got] == [
+                None if np.isnan(v) else float(v) for v in want.values
+            ]
+            statuses.update(want.statuses.tolist())
+            reference = build_engine(AVOC_SPEC)
+            reference.process_batch(matrix, self.MODULES)
+            assert histories[name]["records"] == (
+                reference.voter.history.snapshot()
+            )
+            assert histories[name]["updates"] == (
+                reference.voter.history.update_count
+            )
+        assert statuses == {"ok", "held", "skipped"}
+
+    def test_request_beyond_the_residency_bound_commits_every_series(
+        self, tmp_path
+    ):
+        rng = np.random.default_rng(4)
+        rows = {f"s{k}": [self.row(rng, 1) for _ in range(3)]
+                for k in range(3 * self.BOUND)}
+        server = ShardServer(AVOC_SPEC, history_dir=tmp_path, store="packed",
+                             max_resident_series=self.BOUND)
+        try:
+            response = server.dispatch({"op": "vote_batch", "batches": [
+                {"series": name, "rounds": [0, 1, 2],
+                 "modules": self.MODULES, "rows": series_rows}
+                for name, series_rows in rows.items()
+            ]})
+            assert len(server.resident_series) == self.BOUND
+            backing = server.tiered_store.backing
+            for name, result in zip(rows, response["results"]):
+                reference = build_engine(AVOC_SPEC)
+                want = reference.process_batch(
+                    np.asarray(rows[name], dtype=float), self.MODULES
+                )
+                assert [r["status"] for r in result["results"]] == (
+                    want.statuses.tolist()
+                )
+                assert backing.read(name) == (
+                    reference.voter.history.snapshot(),
+                    reference.voter.history.update_count,
+                )
+        finally:
+            server.stop()
+
+    def test_series_in_two_batches_sees_its_first_batch(self, client):
+        rows = rows_for(4, seed=2)
+        response = client.vote_batch([
+            {"series": "a", "rounds": [0, 1], "modules": MODULES,
+             "rows": rows[:2]},
+            {"series": "b", "rounds": [0], "modules": MODULES,
+             "rows": rows[:1]},
+            # Round 1 again (a replay of the first batch), then 2 and 3.
+            {"series": "a", "rounds": [1, 2, 3], "modules": MODULES,
+             "rows": rows[1:]},
+        ])
+        want = fuse(np.asarray(rows), AVOC_SPEC, modules=MODULES).values
+        first, _, second = (r["results"] for r in response)
+        assert [r["value"] for r in first + second[1:]] == want.tolist()
+        assert second[0] == first[1]
+        reference = build_engine(AVOC_SPEC)
+        reference.process_batch(np.asarray(rows), MODULES)
+        history = client.request({"op": "history", "series": "a"})
+        assert history["records"] == reference.voter.history.snapshot()
+        assert history["updates"] == reference.voter.history.update_count
+        assert history["watermark"] == 3
+
 
 class TestStoreKnobs:
     @pytest.mark.parametrize("store", ["packed", "sqlite", None])
@@ -602,13 +828,19 @@ class TestCrashOrdering:
 
     ROWS = rows_for(10, seed=11)
 
-    def batch(self):
-        return [{"series": "s", "rounds": list(range(len(self.ROWS))),
-                 "modules": MODULES, "rows": self.ROWS}]
+    def batches(self, n_series):
+        return [{"series": f"s{k}", "rounds": list(range(len(self.ROWS))),
+                 "modules": MODULES, "rows": self.ROWS}
+                for k in range(n_series)]
 
-    @pytest.mark.parametrize("point", ["watermark", "commit"])
+    @pytest.mark.parametrize(
+        ("point", "n_series"),
+        [("watermark", 1), ("commit", 1), ("watermark", 3), ("commit", 3)],
+        ids=["watermark", "commit", "watermark-three_series",
+             "commit-three_series"],
+    )
     def test_retry_after_a_crash_applies_each_round_at_most_once(
-        self, tmp_path, monkeypatch, point
+        self, tmp_path, monkeypatch, point, n_series
     ):
         def crash(*args, **kwargs):
             os._exit(1)
@@ -625,21 +857,23 @@ class TestCrashOrdering:
         try:
             with VoterClient(*backend.address) as c:
                 with pytest.raises((OSError, ReproError)):
-                    c.vote_batch(self.batch())
+                    c.vote_batch(self.batches(n_series))
             monkeypatch.undo()
             backend.restart()
             with VoterClient(*backend.address) as c:
                 try:
-                    results = c.vote_batch(self.batch())
+                    results = c.vote_batch(self.batches(n_series))
                 except ServiceError as exc:
                     assert exc.code == "already_voted"
                 else:
                     want = fuse(np.asarray(self.ROWS), AVOC_SPEC,
                                 modules=MODULES).values
-                    assert [r["value"] for r in results[0]["results"]] == [
-                        None if np.isnan(v) else float(v) for v in want
-                    ]
-                history = c.request({"op": "history", "series": "s"})
-                assert history["updates"] <= len(self.ROWS)
+                    for result in results:
+                        assert [r["value"] for r in result["results"]] == [
+                            None if np.isnan(v) else float(v) for v in want
+                        ]
+                for series in c.stats()["series"]:
+                    history = c.request({"op": "history", "series": series})
+                    assert history["updates"] <= len(self.ROWS)
         finally:
             backend.stop()

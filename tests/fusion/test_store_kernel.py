@@ -21,8 +21,10 @@ import numpy as np
 import pytest
 
 from repro.datasets.light_uc1 import UC1Config, generate_uc1_dataset
+from repro.exceptions import FusionError
 from repro.fusion.batch import fuse
 from repro.fusion.engine import FusionEngine
+from repro.fusion.faults import FaultPolicy
 from repro.history import MemoryStateStore, PackedHistoryStore, TieredHistoryStore
 from repro.obs import MetricsRegistry
 from repro.voting.registry import create_voter
@@ -48,9 +50,15 @@ class CountingTieredStore(TieredHistoryStore):
 
 
 @pytest.fixture(scope="module")
-def uc1():
+def uc1_clean():
     data = generate_uc1_dataset(UC1Config(n_rounds=150))
-    return inject_gaps(data.matrix), list(data.modules)
+    return data.matrix, list(data.modules)
+
+
+@pytest.fixture(scope="module")
+def uc1(uc1_clean):
+    matrix, modules = uc1_clean
+    return inject_gaps(matrix), modules
 
 
 @pytest.fixture(params=("memory", "packed"))
@@ -122,3 +130,323 @@ def test_store_backed_kernel_is_bit_identical(
     assert stored.voter.history.snapshot() == oracle_voter.history.snapshot()
     assert stored.voter.history.update_count == oracle_voter.history.update_count
     assert bootstraps(plain.voter) == bootstraps(oracle_voter)
+
+
+# -- stacked calls: many series through one kernel call -----------------------
+#
+# ``process_batch(..., segments=[(engine, n_rows), ...])`` fuses the rows
+# of many series at once.  The contract: every answer, and every
+# engine's records, update counter, bootstraps, ``last_accepted`` and
+# round counters, are those of fusing each series on its own —
+# per-series ``process_batch`` calls in segment order, and ``fuse()``
+# over each series' whole stream.
+
+STACK_ALGORITHMS = (
+    "average",
+    "clustering",
+    "plurality",
+    "incoherence",
+    "standard",
+    "me",
+    "hybrid",
+    "avoc",
+)
+N_SERIES = 6
+
+
+def series_streams(matrix, rounded=False):
+    """Six series cut from one recording, each with its own quirks.
+
+    Every third series carries the +6 E4 offset fault; every series has
+    NaN gaps, one single-gap row and one majority-missing row.
+    """
+    streams = []
+    for k in range(N_SERIES):
+        rows = matrix[9 * k : 9 * k + 60].copy()
+        if k % 3 == 0:
+            rows[:, 3] += 6.0
+        rows[4 + k, 1] = np.nan
+        rows[10 + k, 0:3] = np.nan
+        streams.append(np.round(rows) if rounded else rows)
+    return streams
+
+
+def stack_plan(seed=3, requests=14):
+    """Request layouts: ``[(series, n_rows), ...]`` per request.
+
+    The first request makes three series fresh at once; later ones mix
+    fresh and warm series, segments of 1 and of k rows, and one-row
+    requests (which run the per-round path).
+    """
+    rng = np.random.default_rng(seed)
+    plan = [[(0, 1), (1, 1), (2, 4)]]
+    for r in range(requests):
+        if r % 5 == 4:
+            plan.append([(int(rng.integers(N_SERIES)), 1)])
+            continue
+        members = rng.permutation(N_SERIES)[: int(rng.integers(2, N_SERIES + 1))]
+        plan.append([(int(k), int(rng.choice([1, 1, 2, 3]))) for k in members])
+    return plan
+
+
+def engine_for(algorithm, fault_policy=None):
+    return FusionEngine(create_voter(algorithm), fault_policy=fault_policy)
+
+
+def engine_state(engine):
+    voter = engine.voter
+    history = getattr(voter, "history", None)
+    return {
+        "records": history.snapshot() if history is not None else None,
+        "updates": history.update_count if history is not None else None,
+        "bootstraps": bootstraps(voter),
+        "last_accepted": engine.last_accepted,
+        "rounds_processed": engine.rounds_processed,
+        "rounds_degraded": engine.rounds_degraded,
+        "roster": list(engine.roster),
+        "last_output": getattr(voter, "_last_output", None),
+    }
+
+
+def run_plan(make_engine, streams, plan, modules):
+    """Feed ``plan`` stacked and per series; return both sides."""
+    stacked = [make_engine() for _ in streams]
+    alone = [make_engine() for _ in streams]
+    cursor = [0] * len(streams)
+    answers = {k: ([], []) for k in range(len(streams))}
+    for request in plan:
+        chunks = []
+        for k, n in request:
+            chunks.append(streams[k][cursor[k] : cursor[k] + n])
+            cursor[k] += n
+        segments = [(stacked[k], len(c)) for (k, _), c in zip(request, chunks)]
+        owner = stacked[request[0][0]]
+        got = owner.process_batch(
+            np.concatenate(chunks), modules, segments=segments
+        )
+        row = 0
+        for (k, _), chunk in zip(request, chunks):
+            want = alone[k].process_batch(chunk, modules)
+            n = len(chunk)
+            np.testing.assert_array_equal(got.values[row : row + n], want.values)
+            np.testing.assert_array_equal(
+                got.statuses[row : row + n], want.statuses
+            )
+            answers[k][0].append(got.values[row : row + n])
+            answers[k][1].append(got.statuses[row : row + n])
+            row += n
+    for k, (engine, reference) in enumerate(zip(stacked, alone)):
+        assert engine_state(engine) == engine_state(reference), k
+    return stacked, answers, cursor
+
+
+@pytest.mark.parametrize("algorithm", STACK_ALGORITHMS)
+def test_mixed_stacks_match_per_series_fuse(uc1, algorithm):
+    matrix, modules = uc1
+    rounded = algorithm == "plurality"
+    streams = series_streams(matrix, rounded=rounded)
+    stacked, answers, cursor = run_plan(
+        lambda: engine_for(algorithm), streams, stack_plan(), modules
+    )
+    for k, engine in enumerate(stacked):
+        oracle = FusionEngine(create_voter(algorithm))
+        want = oracle.process_batch(streams[k][: cursor[k]], modules)
+        np.testing.assert_array_equal(np.concatenate(answers[k][0]), want.values)
+        np.testing.assert_array_equal(
+            np.concatenate(answers[k][1]), want.statuses
+        )
+        assert engine_state(engine) == engine_state(oracle)
+
+
+def test_avoc_spec_stacks_match_fuse(uc1):
+    """The shard's engine: AVOC spec, 100 % quorum (gaps are skipped),
+    held rounds on a majority of missing readings."""
+    from repro.vdx.examples import AVOC_SPEC
+    from repro.vdx.factory import build_engine
+
+    matrix, modules = uc1
+    streams = series_streams(matrix)
+    # A segment whose only row is skipped, and one held row.
+    plan = stack_plan() + [[(0, 1), (1, 1)]]
+    streams[0][sum(n for r in plan[:-1] for k, n in r if k == 0), 2] = np.nan
+    streams[1][sum(n for r in plan[:-1] for k, n in r if k == 1), 0:3] = np.nan
+    stacked, answers, cursor = run_plan(
+        lambda: build_engine(AVOC_SPEC), streams, plan, modules
+    )
+    assert answers[0][1][-1].tolist() == ["skipped"]
+    assert answers[1][1][-1].tolist() == ["held"]
+    for k, engine in enumerate(stacked):
+        want = fuse(streams[k][: cursor[k]], AVOC_SPEC, modules)
+        np.testing.assert_array_equal(np.concatenate(answers[k][0]), want.values)
+        np.testing.assert_array_equal(
+            np.concatenate(answers[k][1]), want.statuses
+        )
+        reference = build_engine(AVOC_SPEC)
+        reference.process_batch(streams[k][: cursor[k]], modules)
+        assert engine_state(engine) == engine_state(reference)
+
+
+def test_each_segment_counts_against_its_own_roster(uc1_clean):
+    """A series that once saw an extra module keeps it in its roster, so
+    the 100 % quorum fails its rounds while its neighbour's pass."""
+    from repro.vdx.examples import AVOC_SPEC
+    from repro.vdx.factory import build_engine
+
+    matrix, modules = uc1_clean
+    rows = matrix[10:14]
+    sides = {}
+    for side in ("stacked", "alone"):
+        narrow, wide = build_engine(AVOC_SPEC), build_engine(AVOC_SPEC)
+        wide.process_batch(
+            np.column_stack([matrix[:3], matrix[:3, 0]]), modules + ["X"]
+        )
+        sides[side] = (narrow, wide)
+    narrow, wide = sides["stacked"]
+    got = narrow.process_batch(
+        np.vstack([rows, rows]), modules, segments=[(narrow, 4), (wide, 4)]
+    )
+    want = [engine.process_batch(rows, modules) for engine in sides["alone"]]
+    assert got.statuses.tolist() == ["ok"] * 4 + ["skipped"] * 4
+    np.testing.assert_array_equal(
+        got.values, np.concatenate([w.values for w in want])
+    )
+    for engine, reference in zip(sides["stacked"], sides["alone"]):
+        assert engine_state(engine) == engine_state(reference)
+
+
+@pytest.mark.parametrize("evict", (False, True), ids=("resident", "evicted"))
+@pytest.mark.parametrize("policy", POLICIES)
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_store_backed_stacks_commit_once_per_series(
+    uc1, tiered, algorithm, policy, evict
+):
+    """One ``put_state`` per voting series per stack, and the backing
+    holds every series' final state, also across evict and rehydrate."""
+    matrix, modules = uc1
+    streams = series_streams(matrix)
+    names = [f"s{k}" for k in range(N_SERIES)]
+    stacked = [
+        FusionEngine(voter_for(algorithm, policy, tiered.store_for(name)))
+        for name in names
+    ]
+    alone = [FusionEngine(voter_for(algorithm, policy)) for _ in names]
+    cursor = [0] * N_SERIES
+    for request in stack_plan(seed=11):
+        if evict:
+            for k, _ in request:
+                tiered.evict(names[k])
+                retired = stacked[k]
+                stacked[k] = FusionEngine(
+                    voter_for(algorithm, policy, tiered.store_for(names[k]))
+                )
+                stacked[k].last_accepted = retired.last_accepted
+        chunks = []
+        for k, n in request:
+            chunks.append(streams[k][cursor[k] : cursor[k] + n])
+            cursor[k] += n
+        before = [stacked[k].voter.history.update_count for k, _ in request]
+        puts = tiered.puts
+        got = stacked[request[0][0]].process_batch(
+            np.concatenate(chunks),
+            modules,
+            segments=[(stacked[k], len(c)) for (k, _), c in zip(request, chunks)],
+        )
+        voted = sum(
+            stacked[k].voter.history.update_count > b
+            for (k, _), b in zip(request, before)
+        )
+        if len(got.values) > 1:
+            assert tiered.puts - puts == voted
+        want = np.concatenate(
+            [alone[k].process_batch(c, modules).values
+             for (k, _), c in zip(request, chunks)]
+        )
+        np.testing.assert_array_equal(got.values, want)
+        for k, _ in request:
+            history = stacked[k].voter.history
+            reference = alone[k].voter.history
+            assert history.snapshot() == reference.snapshot()
+            assert history.update_count == reference.update_count
+            state = tiered.backing.read(names[k]) or ({}, 0)
+            assert state == (history.snapshot(), history.update_count)
+
+
+@pytest.mark.parametrize("stop_in", (0, 2, 3))
+@pytest.mark.parametrize("algorithm", ("average", "plurality", "avoc"))
+def test_raise_policy_stops_the_stack_where_the_loop_stops(
+    uc1_clean, algorithm, stop_in
+):
+    """Segments before the raising one commit, the raising one commits
+    up to its failing row, later ones are never touched."""
+    matrix, modules = uc1_clean
+    streams = series_streams(matrix, rounded=algorithm == "plurality")
+    strict = FaultPolicy(on_missing_majority="raise", on_conflict="raise")
+    lengths = [3, 1, 4, 2]
+    chunks = [streams[k][20 : 20 + n].copy() for k, n in enumerate(lengths)]
+    chunks[stop_in][-1, 1:4] = np.nan  # majority missing: raise
+    stacked = [engine_for(algorithm, fault_policy=strict) for _ in lengths]
+    alone = [engine_for(algorithm, fault_policy=strict) for _ in lengths]
+    for engines in (stacked, alone):
+        for k, engine in enumerate(engines):
+            if k % 2:  # half the series are warm
+                engine.process_batch(streams[k][30:42], modules)
+
+    with pytest.raises(FusionError) as stacked_error:
+        stacked[0].process_batch(
+            np.concatenate(chunks),
+            modules,
+            segments=list(zip(stacked, lengths)),
+        )
+    with pytest.raises(FusionError) as alone_error:
+        for engine, chunk in zip(alone, chunks):
+            engine.process_batch(chunk, modules)
+    assert str(stacked_error.value) == str(alone_error.value)
+    for k, (engine, reference) in enumerate(zip(stacked, alone)):
+        assert engine_state(engine) == engine_state(reference), k
+    untouched = stacked[stop_in + 1 :]
+    assert all(e.rounds_processed == (12 if k % 2 else 0)
+               for k, e in enumerate(untouched, start=stop_in + 1))
+
+
+def test_stacked_diagnostics_number_rounds_per_segment(uc1):
+    matrix, modules = uc1
+    streams = series_streams(matrix)
+    lengths = [3, 1, 5]
+    stacked = [engine_for("avoc") for _ in lengths]
+    alone = [engine_for("avoc") for _ in lengths]
+    chunks = [streams[k][:n] for k, n in enumerate(lengths)]
+    got = stacked[0].process_batch(
+        np.concatenate(chunks),
+        modules,
+        diagnostics=True,
+        segments=list(zip(stacked, lengths)),
+    )
+    want = [e.process_batch(c, modules, diagnostics=True)
+            for e, c in zip(alone, chunks)]
+    assert got.results == [r for w in want for r in w.results]
+    np.testing.assert_array_equal(
+        got.weights, np.concatenate([w.weights for w in want])
+    )
+
+
+class TestSegmentValidation:
+    def test_rows_must_add_up(self):
+        a, b = engine_for("avoc"), engine_for("avoc")
+        with pytest.raises(FusionError, match="add up"):
+            a.process_batch(np.ones((3, 3)), segments=[(a, 1), (b, 1)])
+        with pytest.raises(FusionError, match="at least one row"):
+            a.process_batch(np.ones((2, 3)), segments=[(a, 2), (b, 0)])
+
+    def test_one_segment_per_engine(self):
+        a, b = engine_for("avoc"), engine_for("avoc")
+        with pytest.raises(FusionError, match="only one segment"):
+            a.process_batch(np.ones((3, 3)), segments=[(a, 1), (b, 1), (a, 1)])
+
+    def test_engines_must_share_the_configuration(self):
+        a, b = engine_for("avoc"), engine_for("hybrid")
+        with pytest.raises(FusionError, match="configuration"):
+            a.process_batch(np.ones((2, 3)), segments=[(a, 1), (b, 1)])
+        c = engine_for("avoc", fault_policy=FaultPolicy(on_conflict="raise"))
+        with pytest.raises(FusionError, match="configuration"):
+            a.process_batch(np.ones((2, 3)), segments=[(a, 1), (c, 1)])
+        assert a.rounds_processed == 0
