@@ -34,6 +34,7 @@ import threading
 from array import array
 from bisect import bisect_left
 from collections import OrderedDict
+from contextlib import nullcontext
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Set, Tuple
 
@@ -150,11 +151,13 @@ class ShardServer(VoterServer):
     ``store`` backing (``packed`` by default — the mmap segment store
     that scales to millions of series; ``sqlite``; ``memory``).
 
-    Engine residency is LRU-bounded at ``max_resident_series``: idle
-    engines are dropped (every vote already wrote their state through
-    the tiered store), and any known series — hosted before a restart, or evicted — is rehydrated
-    transparently on its next request, bit-identically to an engine
-    that never left memory.
+    Engine residency is LRU-bounded at ``max_resident_series``: a
+    shard builds at most that many engines in its life.  Once it is
+    full, a series that is not resident — new, hosted before a restart,
+    or evicted — takes over the least-recently-used engine, which is
+    reset and rebound to the series' stored state (every vote already
+    wrote the evicted series' state through the tiered store).  The
+    rebound engine votes bit-identically to one that never left memory.
     """
 
     #: Shards deduplicate rounds and replay cached results, so peers
@@ -193,7 +196,7 @@ class ShardServer(VoterServer):
         if self._history_dir is not None:
             self._history_dir.mkdir(parents=True, exist_ok=True)
         # Each series' last accepted value, kept beside its watermark: an
-        # engine rebuilt after eviction holds degraded rounds with it.
+        # engine rebound after eviction holds degraded rounds with it.
         # It lives in memory only, so a restart still loses it.
         self._series_last: Dict[str, Any] = {}
         self._tiered = self._build_tiered_store(store, maintenance_interval)
@@ -275,19 +278,20 @@ class ShardServer(VoterServer):
         except (OSError, ValueError):  # pragma: no cover - corrupt index
             return []
 
-    def _record_series(self, series: str) -> None:
-        self._known_series.add(series)
+    def _record_series(self, *series: str) -> None:
+        """Register new series, with one index write for all of them."""
+        self._known_series.update(series)
+        self._write_series_index()
+
+    def _write_series_index(self) -> None:
+        """Rewrite ``series-index.json`` from the known series."""
         path = self._series_index_path()
         if path is None:
             return
-        known = set(self._load_series_index())
-        if series in known:
-            return
-        known.add(series)
         # Atomic rewrite: a crash mid-write must leave the previous
         # complete index, never a truncated one that would make the
         # restarted shard forget every series it hosts.
-        atomic_write(path, json.dumps(sorted(known)))
+        atomic_write(path, json.dumps(sorted(self._known_series)))
 
     # -- voted watermarks ----------------------------------------------------
 
@@ -377,35 +381,53 @@ class ShardServer(VoterServer):
                 f"unknown series {series!r}", code=ErrorCode.UNKNOWN_SERIES
             )
         # A known-but-not-resident series (evicted, or hosted before a
-        # restart) rehydrates here: the engine is rebuilt from the spec,
-        # its HistoryRecords restore ``(records, update_count)`` through
-        # the tiered store and its last accepted value comes back from
-        # the shard, so it votes bit-identically to an engine that never
-        # left memory.
-        store = (
-            self._tiered.store_for(series) if self._tiered is not None else None
-        )
-        engine = build_engine(
-            self.spec, history_store=store, registry=self.registry
-        )
+        # restart) rehydrates here: its HistoryRecords restore
+        # ``(records, update_count)`` through the tiered store and its
+        # last accepted value comes back from the shard, so it votes
+        # bit-identically to an engine that never left memory.
+        if (
+            self._tiered is not None
+            and self.max_resident_series is not None
+            and len(self._engines) >= self.max_resident_series
+        ):
+            engine = self._recycle_engine(series)
+        else:
+            store = (
+                self._tiered.store_for(series)
+                if self._tiered is not None
+                else None
+            )
+            engine = build_engine(
+                self.spec, history_store=store, registry=self.registry
+            )
         engine.last_accepted = self._series_last.get(series)
         self._engines[series] = engine
         if not known:
             self._record_series(series)
-        self._evict_engines()
         return engine
 
-    def _evict_engines(self) -> None:
-        """Drop least-recently-used engines beyond the residency bound.
+    def _recycle_engine(self, series: str):
+        """Evict the least-recently-used engine and rebind it to ``series``.
 
+        The engine ends up as :func:`build_engine` would build it over
+        ``series``' store view: voter state and counters reset, roster
+        empty, records and update counter loaded from the store.
         Nothing is written here: every commit path already wrote the
-        series' state through to the store.
+        evicted series' state through to the store.
         """
-        if self.max_resident_series is None or self._tiered is None:
-            return
-        while len(self._engines) > self.max_resident_series:
-            series, _ = self._engines.popitem(last=False)
-            self._tiered.evict(series)
+        evicted, engine = self._engines.popitem(last=False)
+        history = getattr(engine.voter, "history", None)
+        attached = history is not None and history.store is not None
+        if attached:
+            # Detach first: HistoryRecords.reset() clears its store,
+            # which would delete the evicted series' state.
+            history.attach(None)
+        engine.reset()
+        engine.roster = []
+        self._tiered.evict(evicted)
+        if attached:
+            history.attach(self._tiered.store_for(series))
+        return engine
 
     @property
     def series_hosted(self) -> Tuple[str, ...]:
@@ -502,16 +524,29 @@ class ShardServer(VoterServer):
                 marks[series] = max(top, marks.get(series, top))
         if marks:
             self._record_watermark(marks)
+        # Every new series of the request with one index write, before
+        # any commit (as a lone ``vote`` registers its series).
+        new = {batch["series"] for batch, _, _, _ in prepared}
+        new -= self._known_series
+        if new:
+            self._record_series(*new)
 
         # Consecutive batches with one module list fuse in one kernel
         # call.  A series seen again starts a new stack, so its second
-        # batch sees the first one's commit and replays its rounds.
+        # batch sees the first one's commit and replays its rounds.  A
+        # stack holds at most ``max_resident_series`` series: gathering
+        # more would recycle an engine the stack already holds.
+        bound = self.max_resident_series if self._tiered is not None else None
         stack: List[Tuple[str, np.ndarray, List[int]]] = []
         stacked: Set[str] = set()
         stack_modules: List[str] = []
         for batch, matrix, modules, rounds in prepared:
             series = batch["series"]
-            if stack and (modules != stack_modules or series in stacked):
+            if stack and (
+                modules != stack_modules
+                or series in stacked
+                or len(stack) == bound
+            ):
                 self._vote_stack(stack, stack_modules, answered)
                 stack, stacked = [], set()
             known = answered[series]
@@ -545,22 +580,29 @@ class ShardServer(VoterServer):
     ) -> None:
         """Fuse the fresh rows of many series with one kernel call.
 
-        ``stack`` holds ``(series, rows, round numbers)`` of distinct
-        series.  Gathering more engines than ``max_resident_series``
-        evicts some of them before the call; they still commit, since
-        each engine writes through its own store view.
+        ``stack`` holds ``(series, rows, round numbers)`` of at most
+        ``max_resident_series`` distinct series.  Their history commits
+        leave the call as one backing write (the tiered store's commit
+        scope), written even when a ``raise`` policy stops the call
+        after some segments committed.
         """
         engines = [self._engine_for(series) for series, _, _ in stack]
         matrix = np.concatenate([rows for _, rows, _ in stack])
+        scope = (
+            self._tiered.commit_scope()
+            if self._tiered is not None
+            else nullcontext()
+        )
         try:
-            outcome = engines[0].process_batch(
-                matrix,
-                modules,
-                segments=[
-                    (engine, len(numbers))
-                    for engine, (_, _, numbers) in zip(engines, stack)
-                ],
-            )
+            with scope:
+                outcome = engines[0].process_batch(
+                    matrix,
+                    modules,
+                    segments=[
+                        (engine, len(numbers))
+                        for engine, (_, _, numbers) in zip(engines, stack)
+                    ],
+                )
         finally:
             for (series, _, _), engine in zip(stack, engines):
                 self._series_last[series] = engine.last_accepted
@@ -647,25 +689,25 @@ class ShardServer(VoterServer):
         engine = self._engine_for(series, create=False)
         return ok_response(series=series, **engine.statistics())
 
+    def _forget_all_series(self) -> None:
+        """Drop every hosted series: engines, stored state, index and logs."""
+        if self._tiered is not None:
+            self._tiered.clear()
+        self._engines.clear()
+        self._known_series.clear()
+        self._series_pending.clear()
+        self._series_voted.clear()
+        self._series_watermark.clear()
+        self._series_last.clear()
+        self._watermark_appends = 0
+        for path in (self._series_index_path(), self._watermark_path()):
+            if path is not None and path.exists():
+                path.unlink()
+
     def _op_reset(self, request) -> Dict[str, Any]:
         series = request.get("series")
         if series is None:
-            for engine in self._engines.values():
-                engine.reset()
-            self._engines.clear()
-            if self._tiered is not None:
-                # Evicted/non-resident series have no engine to reset;
-                # wipe their persisted state directly.
-                self._tiered.clear()
-            self._known_series.clear()
-            self._series_pending.clear()
-            self._series_voted.clear()
-            self._series_watermark.clear()
-            self._series_last.clear()
-            wm_path = self._watermark_path()
-            if wm_path is not None and wm_path.exists():
-                wm_path.unlink()
-            self._watermark_appends = 0
+            self._forget_all_series()
             return super()._op_reset(request)
         self._engines.pop(series, None)
         if self._tiered is not None:
@@ -676,29 +718,12 @@ class ShardServer(VoterServer):
         self._series_last.pop(series, None)
         if self._series_watermark.pop(series, None) is not None:
             self._write_watermarks()
-        path = self._series_index_path()
-        if path is not None:
-            known = [s for s in self._load_series_index() if s != series]
-            atomic_write(path, json.dumps(known))
+        self._write_series_index()
         return ok_response(reset=True, series=series)
 
     def _op_configure(self, request) -> Dict[str, Any]:
         # A scheme swap invalidates every hosted series, records included.
-        if self._tiered is not None:
-            self._tiered.clear()
-        self._engines.clear()
-        self._known_series.clear()
-        self._series_pending.clear()
-        self._series_voted.clear()
-        self._series_watermark.clear()
-        self._series_last.clear()
-        self._watermark_appends = 0
-        path = self._series_index_path()
-        if path is not None and path.exists():
-            path.unlink()
-        wm_path = self._watermark_path()
-        if wm_path is not None and wm_path.exists():
-            wm_path.unlink()
+        self._forget_all_series()
         return super()._op_configure(request)
 
     # -- rebalance handoff --------------------------------------------------

@@ -17,7 +17,7 @@ from __future__ import annotations
 import sqlite3
 import threading
 from pathlib import Path
-from typing import Dict, Mapping, Optional, Tuple, Union
+from typing import Dict, Iterable, Mapping, Optional, Tuple, Union
 
 from ..exceptions import HistoryStoreError
 from .store import SeriesState, SeriesStateStore
@@ -113,21 +113,29 @@ class SqliteStateStore(SeriesStateStore):
         return records, int(meta[0]) if meta is not None else 0
 
     def write(self, series: str, records: Mapping[str, float], updates: int) -> None:
+        self.write_many([(series, records, updates)])
+
+    def write_many(
+        self, states: Iterable[Tuple[str, Mapping[str, float], int]]
+    ) -> None:
+        """Persist many series in one transaction."""
         with self._lock:
             try:
-                self._connection.execute(
-                    "DELETE FROM series_records WHERE series=?", (series,)
-                )
-                self._connection.executemany(
-                    "INSERT INTO series_records(series, module, record) "
-                    "VALUES(?, ?, ?)",
-                    [(series, m, float(r)) for m, r in records.items()],
-                )
-                self._connection.execute(
-                    "INSERT INTO series_meta(series, updates) VALUES(?, ?) "
-                    "ON CONFLICT(series) DO UPDATE SET updates=excluded.updates",
-                    (series, int(updates)),
-                )
+                for series, records, updates in states:
+                    self._connection.execute(
+                        "DELETE FROM series_records WHERE series=?", (series,)
+                    )
+                    self._connection.executemany(
+                        "INSERT INTO series_records(series, module, record) "
+                        "VALUES(?, ?, ?)",
+                        [(series, m, float(r)) for m, r in records.items()],
+                    )
+                    self._connection.execute(
+                        "INSERT INTO series_meta(series, updates) VALUES(?, ?) "
+                        "ON CONFLICT(series) DO UPDATE SET "
+                        "updates=excluded.updates",
+                        (series, int(updates)),
+                    )
                 self._connection.commit()
             except sqlite3.Error as exc:
                 raise HistoryStoreError(f"cannot persist series state: {exc}")

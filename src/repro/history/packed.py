@@ -27,9 +27,12 @@ length)``:
 Durability ordering makes recovery trivial: a block is appended and
 flushed *before* its index entry, so every index entry points at a
 complete block; a crash between the two leaves an orphan block that is
-plain dead space.  If a block still fails its checksum (disk-level
-corruption), the reader falls back to the previous index entry for
-that series — the last durable state.
+plain dead space.  :meth:`PackedHistoryStore.write_many` keeps the
+order for a whole batch: all of its blocks, then all of its index
+lines, so a torn index tail commits a prefix of the batch.  If a block
+still fails its checksum (disk-level corruption), the reader falls
+back to the previous index entry for that series — the last durable
+state.
 
 Block layout (little-endian)::
 
@@ -56,7 +59,7 @@ import threading
 import time
 import zlib
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
 from ..exceptions import HistoryStoreError
 from ..util import atomic_write
@@ -77,17 +80,25 @@ DEFAULT_SEGMENT_BYTES = 4 * 1024 * 1024
 
 def _encode_block(series: str, records: Mapping[str, float], updates: int) -> bytes:
     series_b = series.encode("utf-8")
-    parts: List[bytes] = [_U16.pack(len(series_b)), series_b,
-                          _META.pack(int(updates), len(records))]
-    values: List[float] = []
-    for module, value in records.items():
-        module_b = module.encode("utf-8")
-        parts.append(_U16.pack(len(module_b)))
-        parts.append(module_b)
-        values.append(float(value))
-    parts.append(struct.pack(f"<{len(values)}d", *values))
-    payload = b"".join(parts)
+    payload = b"".join((
+        _U16.pack(len(series_b)),
+        series_b,
+        _META.pack(int(updates), len(records)),
+        _encode_names(tuple(records)),
+        struct.pack(f"<{len(records)}d", *map(float, records.values())),
+    ))
     return _HEADER.pack(_MAGIC, len(payload), zlib.crc32(payload)) + payload
+
+
+@functools.lru_cache(maxsize=64)
+def _encode_names(names: Tuple[str, ...]) -> bytes:
+    """The module-name part of a block; cached, since rosters repeat."""
+    parts: List[bytes] = []
+    for name in names:
+        name_b = name.encode("utf-8")
+        parts.append(_U16.pack(len(name_b)))
+        parts.append(name_b)
+    return b"".join(parts)
 
 
 @functools.lru_cache(maxsize=64)
@@ -141,6 +152,13 @@ class _Entry:
         self.segment = segment
         self.offset = offset
         self.length = length
+
+
+def _index_line(series: str, entry: _Entry) -> str:
+    """The ``index.jsonl`` line of ``entry``, as ``json.dumps`` writes it."""
+    return '{"k": %s, "s": %d, "o": %d, "l": %d}\n' % (
+        json.dumps(series), entry.segment, entry.offset, entry.length
+    )
 
 
 class PackedHistoryStore(SeriesStateStore):
@@ -330,37 +348,68 @@ class PackedHistoryStore(SeriesStateStore):
         return records, updates
 
     def write(self, series: str, records: Mapping[str, float], updates: int) -> None:
-        block = _encode_block(series, records, updates)
+        self.write_many([(series, records, updates)])
+
+    def write_many(
+        self, states: Iterable[Tuple[str, Mapping[str, float], int]]
+    ) -> None:
+        """Persist many series with one segment append and one index append.
+
+        Every block is appended and flushed before any of their index
+        lines, so each replayed index line points at a complete block
+        and a torn index tail leaves a prefix of the batch committed.
+        The segment rolls where the batch would cross ``segment_bytes``
+        (one more append per roll).
+        """
+        blocks = [
+            (series, _encode_block(series, records, updates))
+            for series, records, updates in states
+        ]
+        if not blocks:
+            return
         with self._lock:
             if self._closed:
                 raise HistoryStoreError("packed store is closed")
-            if (
-                self._segment_sizes.get(self._active_segment, 0) + len(block)
-                > self.segment_bytes
-                and self._segment_sizes.get(self._active_segment, 0) > 0
-            ):
-                self._roll_segment()
-            writer = self._writer()
-            offset = self._segment_sizes.get(self._active_segment, 0)
-            try:
-                writer.write(block)
-                writer.flush()
-            except OSError as exc:
-                raise HistoryStoreError(f"cannot append packed block: {exc}")
-            self._segment_sizes[self._active_segment] = offset + len(block)
-            entry = _Entry(self._active_segment, offset, len(block))
-            # Block is durable before its index entry: every replayed
-            # index line points at a complete block.
-            self._append_index_line(
-                {"k": series, "s": entry.segment, "o": offset, "l": len(block)}
+            self._writer()
+            offset = self._segment_sizes[self._active_segment]
+            run: List[bytes] = []
+            entries: List[Tuple[str, _Entry]] = []
+            for series, block in blocks:
+                if offset + len(block) > self.segment_bytes and offset > 0:
+                    self._append_run(run, offset)
+                    run = []
+                    self._roll_segment()
+                    self._writer()
+                    offset = 0
+                entries.append(
+                    (series, _Entry(self._active_segment, offset, len(block)))
+                )
+                run.append(block)
+                offset += len(block)
+            self._append_run(run, offset)
+            self._append_index(
+                "".join(_index_line(series, entry) for series, entry in entries)
             )
-            self._set_entry(series, entry)
+            for series, entry in entries:
+                self._set_entry(series, entry)
             self._maybe_compact()
 
-    def _append_index_line(self, payload: Dict[str, object]) -> None:
+    def _append_run(self, blocks: List[bytes], end: int) -> None:
+        """Append ``blocks`` to the active segment, which then ends at ``end``."""
+        if not blocks:
+            return
+        writer = self._writer()
+        try:
+            writer.write(b"".join(blocks))
+            writer.flush()
+        except OSError as exc:
+            raise HistoryStoreError(f"cannot append packed block: {exc}")
+        self._segment_sizes[self._active_segment] = end
+
+    def _append_index(self, text: str) -> None:
         try:
             writer = self._index_writer()
-            writer.write(json.dumps(payload) + "\n")
+            writer.write(text)
             writer.flush()
         except OSError as exc:
             raise HistoryStoreError(f"cannot append packed index: {exc}")
@@ -369,7 +418,7 @@ class PackedHistoryStore(SeriesStateStore):
         with self._lock:
             if series not in self._entries:
                 return
-            self._append_index_line({"k": series, "x": 1})
+            self._append_index(json.dumps({"k": series, "x": 1}) + "\n")
             self._drop_entry(series)
 
     def series(self) -> Tuple[str, ...]:
@@ -500,16 +549,13 @@ class PackedHistoryStore(SeriesStateStore):
         # The full index is now redundant: rewrite it to one line
         # per live series, atomically.
         lines = [
-            json.dumps(
-                {"k": series, "s": entry.segment, "o": entry.offset,
-                 "l": entry.length}
-            )
+            _index_line(series, entry)
             for series, entry in sorted(self._entries.items())
         ]
         if self._index_handle is not None:
             self._index_handle.close()
             self._index_handle = None
-        atomic_write(self.index_path, "".join(line + "\n" for line in lines))
+        atomic_write(self.index_path, "".join(lines))
         self._stale.clear()
         self._drop_maps()
         for segment in old_segments:

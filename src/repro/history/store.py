@@ -7,13 +7,14 @@ attaches to a one-series view
 (:meth:`~repro.history.tiered.TieredHistoryStore.store_for`) and calls
 ``load_state`` once at attach time and ``save_state`` after every
 update round, mirroring the read/update/write cycle of the paper's
-deployment.
+deployment.  A shard's batch kernel commits every series of one call
+with a single :meth:`SeriesStateStore.write_many`.
 """
 
 from __future__ import annotations
 
 import abc
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, Iterable, Mapping, Optional, Tuple
 
 #: Per-series state as persisted by a :class:`SeriesStateStore`: the
 #: record mapping plus the update-round counter (the AVOC bootstrap
@@ -29,7 +30,9 @@ class SeriesStateStore(abc.ABC):
     :class:`~repro.history.tiered.TieredHistoryStore`: one directory /
     database / address space for an entire shard's series population.
     A shard hosting 10\\ :sup:`6` series keeps only its hot set resident
-    and reads the rest through this interface on demand.
+    and reads the rest through this interface on demand.  Per-round
+    commits arrive as :meth:`write`; a kernel call's commits, one per
+    series, arrive together as :meth:`write_many`.
     """
 
     @abc.abstractmethod
@@ -39,6 +42,17 @@ class SeriesStateStore(abc.ABC):
     @abc.abstractmethod
     def write(self, series: str, records: Mapping[str, float], updates: int) -> None:
         """Persist the full state of one series."""
+
+    def write_many(
+        self, states: Iterable[Tuple[str, Mapping[str, float], int]]
+    ) -> None:
+        """Persist ``(series, records, updates)`` of many series at once.
+
+        Backings override this to commit the batch with one write; the
+        default writes each series in turn.
+        """
+        for series, records, updates in states:
+            self.write(series, records, updates)
 
     @abc.abstractmethod
     def delete(self, series: str) -> None:

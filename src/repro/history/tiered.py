@@ -11,10 +11,15 @@ A shard hosting a million series cannot keep a million live
 
 Writes land in the hot set and are flushed through to the backing
 every ``flush_every`` saves per series (default 1 = write-through, the
-same per-round durability the shards have always had).  Evicted series
-are written back if dirty and rehydrate transparently on the next
-read, bit-identically — state is ``(records, update_counter)``, so a
-rehydrated engine is indistinguishable from one that never left memory.
+same per-round durability the shards have always had).  Inside a
+:meth:`TieredHistoryStore.commit_scope` those write-throughs are queued
+and leave the scope as one
+:meth:`~repro.history.store.SeriesStateStore.write_many` — a shard
+commits every series of one kernel call with a single backing write.
+Evicted series are written back if dirty and rehydrate transparently
+on the next read, bit-identically — state is ``(records,
+update_counter)``, so a rehydrated engine is indistinguishable from one
+that never left memory.
 
 A :class:`TieredSeriesStore` view (from :meth:`store_for`) is the one
 per-series store: its ``load_state``/``save_state``/``clear`` protocol
@@ -32,7 +37,8 @@ from __future__ import annotations
 import threading
 import time
 from collections import OrderedDict
-from typing import Callable, Dict, Mapping, Optional, Tuple
+from contextlib import contextmanager
+from typing import Callable, Dict, Iterator, Mapping, Optional, Tuple
 
 from ..exceptions import HistoryStoreError
 from ..obs import StoreInstruments, get_default_registry
@@ -66,7 +72,8 @@ class TieredHistoryStore:
             disables eviction (everything stays resident).
         flush_every: write a series through to the backing every this
             many saves.  1 (default) is write-through — every update
-            round is durable.  Larger values batch writes and rely on
+            round is durable (inside a :meth:`commit_scope`, as the
+            scope ends).  Larger values batch writes and rely on
             eviction / :meth:`flush` / :meth:`close` for durability.
         registry: metrics registry for :class:`StoreInstruments`
             (defaults to the process-global registry).
@@ -98,6 +105,9 @@ class TieredHistoryStore:
         self.hot_series = hot_series
         self.flush_every = flush_every
         self._hot: "OrderedDict[str, _HotEntry]" = OrderedDict()
+        # Write-throughs queued by an open commit scope (None outside
+        # one); each entry stays dirty until the scope writes it.
+        self._queued: Optional[Dict[str, _HotEntry]] = None
         self._lock = threading.RLock()
         self._closed = False
         self.evictions = 0
@@ -157,13 +167,53 @@ class TieredHistoryStore:
                 self._hot.move_to_end(series)
             entry.saves_since_flush += 1
             if entry.saves_since_flush >= self.flush_every:
-                self._writeback(series, entry)
+                if self._queued is not None:
+                    self._queued[series] = entry
+                else:
+                    self._writeback(series, entry)
             self._shrink()
+
+    @contextmanager
+    def commit_scope(self) -> Iterator[None]:
+        """Commit the scope's write-throughs with one backing write.
+
+        Inside the scope a ``put_state`` updates the hot entry and
+        queues its write instead of writing through; the scope's exit —
+        also on an exception — writes every queued state that is still
+        dirty with one :meth:`SeriesStateStore.write_many`.  Until then
+        a queued entry is an ordinary dirty one: ``get_state`` serves
+        it, and an LRU eviction, :meth:`flush` or :meth:`close` writes
+        it as usual.  Scopes do not nest.
+        """
+        with self._lock:
+            self._queued = {}
+        try:
+            yield
+        finally:
+            with self._lock:
+                queued, self._queued = self._queued, None
+                dirty = [
+                    (series, entry)
+                    for series, entry in queued.items()
+                    if entry.dirty
+                ]
+                if dirty:
+                    self.backing.write_many(
+                        (series, entry.records, entry.updates)
+                        for series, entry in dirty
+                    )
+                    for _, entry in dirty:
+                        entry.dirty = False
+                        entry.saves_since_flush = 0
+                    self.writebacks += len(dirty)
+                    self._obs.writebacks.inc(len(dirty))
 
     def delete(self, series: str) -> None:
         """Forget one series in both tiers."""
         with self._lock:
             self._hot.pop(series, None)
+            if self._queued is not None:
+                self._queued.pop(series, None)
             self.backing.delete(series)
 
     def series(self) -> Tuple[str, ...]:
@@ -264,6 +314,8 @@ class TieredHistoryStore:
         """Forget everything in both tiers."""
         with self._lock:
             self._hot.clear()
+            if self._queued is not None:
+                self._queued.clear()
             self.backing.clear()
 
     def close(self) -> None:

@@ -88,18 +88,29 @@ class HistoryRecords:
         self._values = np.empty(8, dtype=float)
         self._slot_cache: Dict[Tuple[str, ...], np.ndarray] = {}
         self._updates = 0
+        self.attach(store)
+
+    def attach(self, store) -> None:
+        """Bind to a per-series store view and load its state.
+
+        ``None`` detaches: later updates persist nowhere and
+        :meth:`reset` leaves the previous store's state alone.  Loading
+        is meant for empty records — at construction, or after a
+        detach + :meth:`reset` rebinds the records to another series.
+        """
         self._store = store
-        if store is not None:
-            # The state carries the update counter alongside the
-            # records, so a rehydrated engine is bit-identical to one
-            # that never left memory (the AVOC bootstrap trigger keys
-            # on ``update_count == 0``).
-            state = store.load_state()
-            if state is not None:
-                records, updates = state
-                for module, value in records.items():
-                    self._set(module, float(value))
-                self._updates = int(updates)
+        if store is None:
+            return
+        # The state carries the update counter alongside the records,
+        # so a rehydrated engine is bit-identical to one that never
+        # left memory (the AVOC bootstrap trigger keys on
+        # ``update_count == 0``).
+        state = store.load_state()
+        if state is not None:
+            records, updates = state
+            for module, value in records.items():
+                self._set(module, float(value))
+            self._updates = int(updates)
 
     # -- slot management --------------------------------------------------
 

@@ -10,15 +10,16 @@ import pytest
 
 from repro import fuse
 from repro.cli import main as cli_main
+from repro.cluster import backend as backend_mod
 from repro.cluster.backend import ManagedBackend, ShardServer
 from repro.exceptions import ReproError
-from repro.history import TieredHistoryStore
+from repro.history import PackedHistoryStore, TieredHistoryStore
 from repro.history.migrate import series_filename
 from repro.runtime.pool import fork_available
 from repro.service.client import ServiceError, VoterClient
 from repro.service.protocol import ProtocolError
 from repro.types import Round
-from repro.vdx.examples import AVOC_SPEC
+from repro.vdx.examples import AVOC_SPEC, all_example_specs
 from repro.vdx.factory import build_engine
 
 MODULES = ["E1", "E2", "E3"]
@@ -489,6 +490,170 @@ class TestTieredResidency:
         assert history["updates"] == reference.voter.history.update_count
 
 
+class TestSeriesIndex:
+    def test_one_index_write_per_request(self, tmp_path, monkeypatch):
+        writes = []
+        atomic_write = backend_mod.atomic_write
+
+        def counting(path, text):
+            if path.name == "series-index.json":
+                writes.append(json.loads(text))
+            atomic_write(path, text)
+
+        monkeypatch.setattr(backend_mod, "atomic_write", counting)
+        names = [f"new-{k:02d}" for k in range(64)]
+        rows = rows_for(1)
+        server = ShardServer(AVOC_SPEC, history_dir=tmp_path)
+        try:
+            server.dispatch({"op": "vote_batch", "batches": [
+                {"series": name, "rounds": [0], "modules": MODULES,
+                 "rows": rows} for name in names
+            ]})
+            assert writes == [names]
+            # Known series register nothing more.
+            server.dispatch({"op": "vote_batch", "batches": [
+                {"series": name, "rounds": [1], "modules": MODULES,
+                 "rows": rows} for name in names[:8]
+            ]})
+            assert len(writes) == 1
+        finally:
+            server.stop()
+        reborn = ShardServer(AVOC_SPEC, history_dir=tmp_path)
+        try:
+            assert reborn.series_hosted == tuple(names)
+            reborn.dispatch({"op": "reset", "series": names[5]})
+            assert writes[-1] == names[:5] + names[6:]
+        finally:
+            reborn.stop()
+        reloaded = ShardServer(AVOC_SPEC, history_dir=tmp_path)
+        try:
+            assert names[5] not in reloaded.series_hosted
+            assert len(reloaded.series_hosted) == 63
+        finally:
+            reloaded.stop()
+
+
+def _engine_state(engine):
+    """Everything an engine carries between rounds, voter state included."""
+    voter = engine.voter
+    state = {k: v for k, v in vars(voter).items() if k != "history"}
+    if hasattr(voter, "bootstraps_used"):
+        state["_bootstraps_used"] = voter.bootstraps_used
+    history = getattr(voter, "history", None)
+    if history is not None:
+        state["history"] = {
+            "records": history.snapshot(),
+            "updates": history.update_count,
+            "slots": dict(history._index),
+            "slot_cache": list(history._slot_cache),
+            "store": getattr(history.store, "series", history.store),
+            "policy": (history.policy, history.reward, history.penalty,
+                       history.learning_rate, history.initial),
+        }
+    return {
+        "voter": (type(voter), state),
+        "roster": list(engine.roster),
+        "last_accepted": engine.last_accepted,
+        "counters": (engine.rounds_processed, engine.rounds_degraded),
+        "policy": (engine.quorum.mode, engine.quorum.percentage,
+                   engine.exclusion, engine.exclusion_threshold,
+                   vars(engine.fault_policy)),
+    }
+
+
+class TestEngineRecycling:
+    """A shard at its residency bound rebinds its least-recently-used
+    engine; the result must equal an engine freshly built over the
+    series' store view, for every voter ``build_voter`` produces."""
+
+    MODULES = ["E1", "E2", "E3", "E4", "E5"]
+
+    def rows(self, spec, offset, n, seed):
+        rng = np.random.default_rng(seed)
+        if spec.is_categorical:
+            base = np.ones((n, 5))
+            base[:, 3] = 2.0  # E4 disagrees
+            base[rng.random(n) < 0.3, 0] = 3.0
+            return base.tolist()
+        matrix = 18.0 + rng.normal(0.0, 0.05, size=(n, 5))
+        matrix[:, 3] += offset  # the E4 offset fault
+        return matrix.tolist()
+
+    @pytest.mark.parametrize("name", sorted(all_example_specs()))
+    def test_recycled_engine_equals_a_fresh_one(
+        self, tmp_path, monkeypatch, name
+    ):
+        spec = all_example_specs()[name]
+        built = []
+        build = backend_mod.build_engine
+
+        def counting_build(*args, **kwargs):
+            built.append(args)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(backend_mod, "build_engine", counting_build)
+        b_rows = self.rows(spec, 0.0, 3, seed=1)
+        a_rows = self.rows(spec, 6.0, 5, seed=2)
+        server = ShardServer(spec, history_dir=tmp_path, store="packed",
+                             max_resident_series=1)
+        try:
+            for number, row in enumerate(b_rows):
+                vote_on(server, "vote", "b", number, self.MODULES, row)
+            engine = server._engines["b"]
+            server.dispatch({"op": "vote_batch", "batches": [
+                {"series": "a", "rounds": list(range(len(a_rows))),
+                 "modules": self.MODULES, "rows": a_rows}]})
+            assert server._engines["a"] is engine  # recycled, not built
+            rebound = server._engine_for("b")
+            assert rebound is engine
+            assert len(built) == 1
+            fresh = build(spec, history_store=server.tiered_store.store_for("b"),
+                          registry=server.registry)
+        finally:
+            server.stop()
+        direct = build(spec)
+        for number, row in enumerate(b_rows):
+            direct.process(Round.from_mapping(number,
+                                              dict(zip(self.MODULES, row))))
+        fresh.last_accepted = direct.last_accepted
+        assert _engine_state(rebound) == _engine_state(fresh)
+
+    def test_bound_one_shard_matches_fuse_and_an_unbounded_shard(
+        self, tmp_path
+    ):
+        rows = {"a": self.rows(AVOC_SPEC, 6.0, 24, seed=3),
+                "b": self.rows(AVOC_SPEC, 0.0, 24, seed=4)}
+        answers = {}
+        histories = {}
+        for bound in (1, None):
+            server = ShardServer(AVOC_SPEC, history_dir=tmp_path / str(bound),
+                                 store="packed", max_resident_series=bound)
+            got = answers[bound] = {"a": [], "b": []}
+            try:
+                for first in range(0, 24, 3):
+                    # Both series in every request: two stacks of one.
+                    response = server.dispatch({"op": "vote_batch", "batches": [
+                        {"series": key, "rounds": list(range(first, first + 3)),
+                         "modules": self.MODULES,
+                         "rows": rows[key][first:first + 3]}
+                        for key in ("a", "b")]})
+                    for result in response["results"]:
+                        got[result["series"]] += result["results"]
+                histories[bound] = {
+                    key: server.dispatch({"op": "history", "series": key})
+                    for key in ("a", "b")
+                }
+                if bound == 1:
+                    assert server.tiered_store.evictions > 0
+            finally:
+                server.stop()
+        for key in ("a", "b"):
+            want = fuse(np.asarray(rows[key]), AVOC_SPEC, modules=self.MODULES)
+            assert [r["value"] for r in answers[1][key]] == want.values.tolist()
+            assert answers[1][key] == answers[None][key]
+            assert histories[1][key] == histories[None][key]
+
+
 def vote_on(server, op, series, number, modules, row):
     """One round of one series, as a ``vote`` or a one-row ``vote_batch``."""
     if op == "vote":
@@ -877,3 +1042,55 @@ class TestCrashOrdering:
                     assert history["updates"] <= len(self.ROWS)
         finally:
             backend.stop()
+
+    @pytest.mark.parametrize("torn", [False, True],
+                             ids=["before-index", "torn-index"])
+    def test_crash_between_segment_and_index_append(
+        self, tmp_path, monkeypatch, torn
+    ):
+        """Killed after a request's blocks reach the segment and before
+        (or midway through) their index lines: every series is at its
+        old state or its new one, and no round is applied twice."""
+        n_series = 4
+        append_index = PackedHistoryStore._append_index
+
+        def crash(self, text):
+            if torn:
+                # The first line lands whole, the second one half.
+                first, second = text.splitlines(keepends=True)[:2]
+                append_index(self, first + second[: len(second) // 2])
+            os._exit(1)
+
+        monkeypatch.setattr(PackedHistoryStore, "_append_index", crash)
+        backend = ManagedBackend("b0", AVOC_SPEC, history_dir=tmp_path,
+                                 mode="process", store="packed")
+        backend.start()
+        try:
+            with VoterClient(*backend.address) as c:
+                with pytest.raises((OSError, ReproError)):
+                    c.vote_batch(self.batches(n_series))
+            monkeypatch.undo()
+            backend.restart()
+            with VoterClient(*backend.address) as c:
+                with pytest.raises(ServiceError) as refused:
+                    c.vote_batch(self.batches(n_series))
+                assert refused.value.code == "already_voted"
+                updates = []
+                for k in range(n_series):
+                    history = c.request({"op": "history", "series": f"s{k}"})
+                    updates.append(history["updates"])
+                    if history["updates"]:
+                        reference = build_engine(AVOC_SPEC)
+                        reference.process_batch(np.asarray(self.ROWS), MODULES)
+                        assert history["records"] == (
+                            reference.voter.history.snapshot()
+                        )
+                        assert history["updates"] == (
+                            reference.voter.history.update_count
+                        )
+        finally:
+            backend.stop()
+        # A torn index tail commits a prefix of the batch.
+        assert updates == ([len(self.ROWS)] if torn else []) + [0] * (
+            n_series - torn
+        )

@@ -156,6 +156,98 @@ class TestSegments:
         assert all(store.read(f"s{k}") is not None for k in range(30))
 
 
+def _batch(n=20, updates=7, shift=0.0):
+    return [(f"s{k}", {"E1": 0.5 + k / 100 + shift, "E2": 0.25}, updates + k)
+            for k in range(n)]
+
+
+class TestWriteMany:
+    def test_round_trip_with_one_append_each(self, tmp_path, monkeypatch):
+        store = PackedHistoryStore(tmp_path, compact_dead_fraction=None)
+        appends = []
+        for name in ("_append_run", "_append_index"):
+            original = getattr(PackedHistoryStore, name)
+
+            def counted(self, *args, _name=name, _original=original):
+                appends.append(_name)
+                return _original(self, *args)
+
+            monkeypatch.setattr(PackedHistoryStore, name, counted)
+        batch = _batch()
+        store.write_many(batch)
+        # Blocks first, then their index lines: one append each.
+        assert appends == ["_append_run", "_append_index"]
+        assert len(store.index_path.read_text().splitlines()) == len(batch)
+        for series, records, updates in batch:
+            assert store.read(series) == (records, updates)
+        store.write_many([])  # a no-op
+        store.close()
+        reopened = PackedHistoryStore(tmp_path)
+        for series, records, updates in batch:
+            assert reopened.read(series) == (records, updates)
+        reopened.close()
+
+    def test_matches_one_write_per_series(self, tmp_path):
+        batch = _batch() + [("s3", {"E1": 0.125}, 99)]  # last one wins
+        many = PackedHistoryStore(tmp_path / "many")
+        many.write_many(batch)
+        single = PackedHistoryStore(tmp_path / "single")
+        for state in batch:
+            single.write(*state)
+        assert many.series() == single.series()
+        assert {k: many.read(k) for k in many.series()} == {
+            k: single.read(k) for k in single.series()
+        }
+        assert many.total_bytes == single.total_bytes
+        assert many.live_bytes == single.live_bytes
+        many.close()
+        single.close()
+
+    def test_rolls_the_segment_where_the_batch_crosses_it(self, tmp_path):
+        store = PackedHistoryStore(
+            tmp_path, segment_bytes=4096, compact_dead_fraction=None
+        )
+        batch = _batch(n=200)
+        store.write_many(batch)
+        assert store.segment_count > 1
+        assert max(store._segment_sizes.values()) <= 4096
+        for series, records, updates in batch:
+            assert store.read(series) == (records, updates)
+        store.write_many(_batch(n=200, shift=0.125))  # all of it dead now
+        store.compact()
+        assert store.dead_bytes == 0
+        want = {series: (records, updates)
+                for series, records, updates in _batch(n=200, shift=0.125)}
+        assert {k: store.read(k) for k in want} == want
+        store.close()
+        reopened = PackedHistoryStore(tmp_path)
+        assert {k: reopened.read(k) for k in want} == want
+        reopened.close()
+
+    def test_corrupt_block_falls_back_to_the_previous_batch(self, tmp_path):
+        store = PackedHistoryStore(
+            tmp_path, segment_bytes=1 << 20, compact_dead_fraction=None
+        )
+        store.write_many([("s", {"E1": 0.5}, 1), ("t", {"E1": 0.75}, 1)])
+        store.write_many([("s", {"E1": 0.25}, 2), ("t", {"E1": 0.5}, 2)])
+        entry = store._entries["s"]
+        store.close()
+        seg = tmp_path / f"seg-{entry.segment:06d}.pack"
+        data = bytearray(seg.read_bytes())
+        data[entry.offset + 12] ^= 0xFF
+        seg.write_bytes(bytes(data))
+        reopened = PackedHistoryStore(tmp_path)
+        assert reopened.read("s") == ({"E1": 0.5}, 1)
+        assert reopened.read("t") == ({"E1": 0.5}, 2)
+        reopened.close()
+
+    def test_closed_store_refuses_batches(self, tmp_path):
+        store = PackedHistoryStore(tmp_path)
+        store.close()
+        with pytest.raises(HistoryStoreError):
+            store.write_many(_batch(n=2))
+
+
 class TestCrashRecovery:
     def test_truncated_segment_tail_falls_back(self, tmp_path):
         """A torn final block yields the previous durable state."""
@@ -279,19 +371,29 @@ class TestCrashRecovery:
         """Any torn tail leaves a loadable store returning only states
         that were actually written at some point."""
         rng = random.Random(8)
-        written = {}
-        with PackedHistoryStore(tmp_path / "f",
-                                segment_bytes=4096) as store:
-            for k in range(120):
-                key = f"s{k % 17}"
-                state = ({"E1": rng.random(), "E2": rng.random()}, k)
-                store.write(key, *state)
-                written.setdefault(key, []).append(state)
-        index = tmp_path / "f" / "index.jsonl"
-        index.write_text(index.read_text()[: rng.randrange(40, 400)])
-        reopened = PackedHistoryStore(tmp_path / "f")
-        for key in reopened.series():
-            state = reopened.read(key)
-            if state is not None:
-                assert state in written[key]
-        reopened.close()
+        # One write per state, then the same states in write_many
+        # batches of 1-9 series.
+        for batched in (False, True):
+            directory = tmp_path / ("many" if batched else "f")
+            written = {}
+            with PackedHistoryStore(directory, segment_bytes=4096) as store:
+                batch = []
+                for k in range(120):
+                    key = f"s{k % 17}"
+                    state = ({"E1": rng.random(), "E2": rng.random()}, k)
+                    written.setdefault(key, []).append(state)
+                    if not batched:
+                        store.write(key, *state)
+                        continue
+                    batch.append((key, *state))
+                    if len(batch) >= rng.randrange(1, 10) or k == 119:
+                        store.write_many(batch)
+                        batch = []
+            index = directory / "index.jsonl"
+            index.write_text(index.read_text()[: rng.randrange(40, 400)])
+            reopened = PackedHistoryStore(directory)
+            for key in reopened.series():
+                state = reopened.read(key)
+                if state is not None:
+                    assert state in written[key]
+            reopened.close()

@@ -30,6 +30,18 @@ class TestRoundTrip:
         store.write("s", {"E1": 0.25, "E2": 0.75}, 2)
         assert store.read("s") == ({"E1": 0.25, "E2": 0.75}, 2)
 
+    def test_write_many_in_one_transaction(self, store):
+        commits = []
+        store._connection.set_trace_callback(
+            lambda sql: commits.append(sql) if sql == "COMMIT" else None
+        )
+        store.write("a", {"E1": 0.125}, 1)
+        commits.clear()
+        store.write_many([("a", {"E1": 0.5}, 2), ("b", {"E1": 0.25}, 3)])
+        assert commits == ["COMMIT"]
+        assert store.read("a") == ({"E1": 0.5}, 2)
+        assert store.read("b") == ({"E1": 0.25}, 3)
+
     def test_clear(self, store):
         store.write("s", {"E1": 0.5}, 1)
         store.clear()

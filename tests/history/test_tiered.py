@@ -130,6 +130,108 @@ class TestHotSet:
         assert "store_hot_series 1" in rendered
 
 
+class _CountingBacking(MemoryStateStore):
+    def __init__(self):
+        super().__init__()
+        self.calls = []
+
+    def write(self, series, records, updates):
+        self.calls.append("write")
+        super().write(series, records, updates)
+
+    def write_many(self, states):
+        states = list(states)
+        self.calls.append(("write_many", [s for s, _, _ in states]))
+        for state in states:
+            super().write(*state)
+
+
+class TestCommitScope:
+    def test_scope_commits_with_one_backing_write(self):
+        backing = _CountingBacking()
+        store = TieredHistoryStore(backing, hot_series=8)
+        with store.commit_scope():
+            for k in range(3):
+                store.put_state(f"s{k}", {"E1": k / 4}, k)
+            store.put_state("s1", {"E1": 0.9}, 7)  # the latest state wins
+            assert backing.calls == []
+            assert store.dirty_count == 3
+            # A read inside the scope sees the queued state.
+            assert store.get_state("s1") == ({"E1": 0.9}, 7)
+        assert backing.calls == [("write_many", ["s0", "s1", "s2"])]
+        assert backing.read("s1") == ({"E1": 0.9}, 7)
+        assert store.dirty_count == 0
+        assert store.writebacks == 3
+        store.put_state("s0", {"E1": 0.5}, 9)  # outside: write-through
+        assert backing.calls[-1] == "write"
+
+    def test_scope_writes_its_queue_when_the_body_raises(self):
+        backing = _CountingBacking()
+        store = TieredHistoryStore(backing, hot_series=8)
+        with pytest.raises(RuntimeError):
+            with store.commit_scope():
+                store.put_state("a", {"E1": 0.1}, 1)
+                raise RuntimeError("a raise policy stops the kernel")
+        assert backing.read("a") == ({"E1": 0.1}, 1)
+
+    def test_eviction_inside_the_scope_keeps_the_queued_write(self):
+        backing = _CountingBacking()
+        store = TieredHistoryStore(backing, hot_series=1)
+        with store.commit_scope():
+            store.put_state("a", {"E1": 0.1}, 1)
+            store.put_state("b", {"E1": 0.2}, 2)  # evicts a: written back
+            assert backing.read("a") == ({"E1": 0.1}, 1)
+            assert store.get_state("a") == ({"E1": 0.1}, 1)
+        assert backing.read("b") == ({"E1": 0.2}, 2)
+        # Each state reached the backing exactly once.
+        assert store.writebacks == 2
+
+    def test_flush_and_close_see_queued_writes(self):
+        backing = _CountingBacking()
+        store = TieredHistoryStore(backing, hot_series=8)
+        with store.commit_scope():
+            store.put_state("a", {"E1": 0.1}, 1)
+            store.flush()  # the maintenance thread's path
+            assert backing.read("a") == ({"E1": 0.1}, 1)
+            store.put_state("b", {"E1": 0.2}, 1)
+            store.close()
+            assert backing.read("b") == ({"E1": 0.2}, 1)
+            calls = list(backing.calls)
+        assert backing.calls == calls  # nothing left dirty to write
+
+    def test_delete_inside_the_scope_drops_the_queued_write(self):
+        backing = _CountingBacking()
+        store = TieredHistoryStore(backing, hot_series=8)
+        with store.commit_scope():
+            store.put_state("a", {"E1": 0.1}, 1)
+            store.put_state("b", {"E1": 0.2}, 1)
+            store.delete("a")
+        assert backing.read("a") is None
+        assert store.series() == ("b",)
+
+    @pytest.mark.parametrize("kind", ["packed", "sqlite"])
+    def test_durable_backings_commit_the_scope(self, tmp_path, kind):
+        backing = (
+            PackedHistoryStore(tmp_path / "p")
+            if kind == "packed"
+            else SqliteStateStore(tmp_path / "s.db")
+        )
+        store = TieredHistoryStore(backing, hot_series=4)
+        with store.commit_scope():
+            for k in range(10):
+                store.put_state(f"s{k}", {"E1": k / 10, "E2": 0.5}, k)
+        store.close()
+        reopened = (
+            PackedHistoryStore(tmp_path / "p")
+            if kind == "packed"
+            else SqliteStateStore(tmp_path / "s.db")
+        )
+        assert {f"s{k}": reopened.read(f"s{k}") for k in range(10)} == {
+            f"s{k}": ({"E1": k / 10, "E2": 0.5}, k) for k in range(10)
+        }
+        reopened.close()
+
+
 class TestMaintenance:
     def test_background_thread_compacts_and_runs_hook(self, tmp_path):
         calls = []
