@@ -85,6 +85,12 @@ def _round_payload(
     return {"round": number, "value": value, "status": status}
 
 
+def _watermark_line(series: str, number: int) -> str:
+    """One voted-rounds log line, byte for byte as
+    ``json.dumps({"series": series, "round": number})`` writes it."""
+    return '{"series": %s, "round": %d}\n' % (json.dumps(series), number)
+
+
 class _ReplayWindow:
     """One series' replay cache: the answers of its latest rounds.
 
@@ -138,6 +144,23 @@ class _ReplayWindow:
             del self.rounds[:excess]
             del self.values[:excess]
             del self.codes[:excess]
+
+
+def _share_configuration(engine, template) -> None:
+    """Let ``engine`` hold ``template``'s frozen configuration objects.
+
+    Both come from the shard's spec, so the objects are equal by value;
+    sharing them lets a stacked kernel call check its segments'
+    configuration by identity, once per call.
+    """
+    if engine.quorum == template.quorum:
+        engine.quorum = template.quorum
+    if engine.fault_policy == template.fault_policy:
+        engine.fault_policy = template.fault_policy
+    voter, source = engine.voter, template.voter
+    params = getattr(source, "params", None)
+    if type(voter) is type(source) and params is not None and voter.params == params:
+        voter.params = params
 
 
 class ShardServer(VoterServer):
@@ -321,11 +344,13 @@ class ShardServer(VoterServer):
         path = self._watermark_path()
         if path is None:
             return
-        lines = [
-            json.dumps({"series": series, "round": number})
-            for series, number in sorted(self._series_watermark.items())
-        ]
-        atomic_write(path, "".join(line + "\n" for line in lines))
+        atomic_write(
+            path,
+            "".join(
+                _watermark_line(series, number)
+                for series, number in sorted(self._series_watermark.items())
+            ),
+        )
         self._watermark_appends = 0
 
     def _record_watermark(self, marks: Mapping[str, int]) -> None:
@@ -337,7 +362,7 @@ class ShardServer(VoterServer):
             if current is not None and number <= current:
                 continue
             self._series_watermark[series] = number
-            lines.append(json.dumps({"series": series, "round": number}) + "\n")
+            lines.append(_watermark_line(series, number))
         path = self._watermark_path()
         if path is None or not lines:
             return
@@ -400,6 +425,7 @@ class ShardServer(VoterServer):
             engine = build_engine(
                 self.spec, history_store=store, registry=self.registry
             )
+            _share_configuration(engine, self.engine)
         engine.last_accepted = self._series_last.get(series)
         self._engines[series] = engine
         if not known:
@@ -557,7 +583,9 @@ class ShardServer(VoterServer):
                     seen.add(number)
                     fresh.append(i)
             if fresh:
-                stack.append((series, matrix[fresh], [rounds[i] for i in fresh]))
+                if len(fresh) < len(rounds):
+                    matrix, rounds = matrix[fresh], [rounds[i] for i in fresh]
+                stack.append((series, matrix, rounds))
                 stacked.add(series)
                 stack_modules = modules
         if stack:

@@ -27,8 +27,11 @@ roster, then one of five vectorized kernels selected by
 ``history``
     The Standard/Me/Sdt/Hybrid/AVOC family — margins, agreement scores,
     record steps, weights, elimination and collation run once over the
-    whole stack; only the history scan runs per segment, over that
-    series' own records (history is a genuine cross-round dependency).
+    whole stack.  Every plain one-row segment (one votable row, records
+    for every batch module) takes one shared array step; the rest —
+    bootstrap rows, new modules, empty rows, multi-row segments — run
+    the history scan per segment, over that series' own records
+    (history is a genuine cross-round dependency).
 
 Every path is *bit-identical* to the per-round
 :meth:`FusionEngine.process` loop run series by series, in segment
@@ -244,12 +247,33 @@ def _checked_segments(
     if len({id(owner) for owner, _ in checked}) != len(checked):
         # A second segment would have to see the first one's commit.
         raise FusionError("an engine may own only one segment")
+    # Engines of one shard share their configuration objects, so the
+    # values are compared once per distinct set of objects.
+    verified = {_configuration_key(engine)}
     for owner, _ in checked:
-        if owner is not engine and not _same_configuration(engine, owner):
-            raise FusionError(
-                "segment engines must share the calling engine's configuration"
-            )
+        key = _configuration_key(owner)
+        if key not in verified:
+            if not _same_configuration(engine, owner):
+                raise FusionError(
+                    "segment engines must share the calling engine's "
+                    "configuration"
+                )
+            verified.add(key)
     return checked
+
+
+def _configuration_key(engine: FusionEngine) -> Tuple[Any, ...]:
+    """The identities of everything :func:`_same_configuration` compares."""
+    voter = engine.voter
+    return (
+        type(voter),
+        id(getattr(voter, "params", None)),
+        id(getattr(voter, "collation", None)),
+        engine.exclusion,
+        engine.exclusion_threshold,
+        id(engine.fault_policy),
+        id(engine.quorum),
+    )
 
 
 def _same_configuration(a: FusionEngine, b: FusionEngine) -> bool:
@@ -378,6 +402,23 @@ def _fallback(
     return BatchResult(tuple(modules), values, statuses, weights, results)
 
 
+def _roster_additions(
+    segments: Sequence[Tuple[FusionEngine, int]], modules: List[str]
+) -> List[List[str]]:
+    """Per segment, the batch modules its engine's roster lacks, in batch
+    order — worked out once per distinct roster."""
+    by_roster: Dict[Tuple[str, ...], List[str]] = {}
+    additions = []
+    for owner, _ in segments:
+        key = tuple(owner.roster)
+        added = by_roster.get(key)
+        if added is None:
+            known = set(key)
+            added = by_roster[key] = [m for m in modules if m not in known]
+        additions.append(added)
+    return additions
+
+
 class _BatchContext:
     """Shared per-batch state: policy evaluation, outputs, bookkeeping.
 
@@ -416,13 +457,15 @@ class _BatchContext:
         # Every engine learns the batch's modules before its first round
         # (in finish()), so each segment's policy sees that roster size;
         # it is never 0, since the batch has modules.
+        self.learned = _roster_additions(segments, modules)
         rosters = [
-            len(owner.roster) + sum(m not in owner.roster for m in modules)
-            for owner, _ in segments
+            len(owner.roster) + len(added)
+            for (owner, _), added in zip(segments, self.learned)
         ]
         quorum = engine.quorum
+        required_by_size = {r: quorum.required_count(r) for r in set(rosters)}
         roster_size = np.repeat(rosters, lengths)
-        required = np.repeat([quorum.required_count(r) for r in rosters], lengths)
+        required = np.repeat([required_by_size[r] for r in rosters], lengths)
         policy = engine.fault_policy
         reasons = np.zeros(self.n_rounds, dtype=np.int8)
         missing_fraction = 1.0 - self.counts / roster_size
@@ -471,30 +514,44 @@ class _BatchContext:
                 return
             yield index, owner, first, end
 
-    def _observe(self, engine: FusionEngine, first: int, limit: int) -> None:
+    def _observe(self, reached: List[Tuple[int, FusionEngine, int, int]]) -> None:
         """Mirror the engine-stat mutations into the metrics registry.
 
-        Runs before the ``raise``-policy exception, so a rejected batch
-        still records the rounds it consumed — exactly like the
+        Engines instrumented against one registry share their counters,
+        so each counter is incremented once for all of its segments'
+        rows.  Runs before the ``raise``-policy exception, so a rejected
+        batch still records the rounds it consumed — exactly like the
         per-round loop, where ``_degraded`` counts before raising.
         """
-        obs = engine._obs
-        if not obs.enabled:
-            return
-        processed = limit - first
-        obs.rounds.inc(processed)
-        obs.batch_rounds.inc(processed)
-        codes = self.reasons[first:limit]
-        if not codes.any():
-            return
-        counts = np.bincount(codes, minlength=len(_REASON_LABELS_BY_CODE) + 1)
-        for code, label in _REASON_LABELS_BY_CODE.items():
-            hits = int(counts[code])
-            if hits:
-                obs.degraded[label].inc(hits)
-        quorum = int(counts[_QUORUM_ENGINE])
-        if quorum:
-            obs.quorum_failures.inc(quorum)
+        limit = min(self.cutoff + 1, self.n_rounds)
+        groups: Dict[int, Tuple[Any, List[Tuple[int, int]]]] = {}
+        for _, engine, first, end in reached:
+            obs = engine._obs
+            group = groups.get(id(obs.rounds))
+            if group is None:
+                group = groups[id(obs.rounds)] = (obs, [])
+            group[1].append((first, min(limit, end)))
+        for obs, spans in groups.values():
+            if not obs.enabled:
+                continue
+            if len(groups) == 1:
+                # The reached segments tile the rows up to the limit.
+                codes = self.reasons[:limit]
+            else:
+                codes = np.concatenate([self.reasons[a:b] for a, b in spans])
+            processed = int(codes.size)
+            obs.rounds.inc(processed)
+            obs.batch_rounds.inc(processed)
+            if not codes.any():
+                continue
+            counts = np.bincount(codes, minlength=len(_REASON_LABELS_BY_CODE) + 1)
+            for code, label in _REASON_LABELS_BY_CODE.items():
+                hits = int(counts[code])
+                if hits:
+                    obs.degraded[label].inc(hits)
+            quorum = int(counts[_QUORUM_ENGINE])
+            if quorum:
+                obs.quorum_failures.inc(quorum)
 
     def mark_conflict(self, round_number: int) -> bool:
         """Record a NoMajorityError; False means the kernel must stop
@@ -513,13 +570,25 @@ class _BatchContext:
         results: Optional[List[FusionResult]] = (
             [] if self.diagnostics else None
         )
-        for index, engine, first, end in self.reached():
-            for module in self.modules:
-                if module not in engine.roster:
-                    engine.roster.append(module)
+        reached = list(self.reached())
+        self._observe(reached)
+        # Degraded rows before each row, and the outputs as floats: a
+        # segment whose rows all voted settles without a row loop.
+        degraded_before = np.concatenate(
+            ([0], np.cumsum(self.reasons != 0))
+        ).tolist()
+        outputs = self.outputs.tolist()
+        for index, engine, first, end in reached:
+            added = self.learned[index]
+            if added:
+                engine.roster.extend(added)
             stop = min(end, cutoff)
-            self._settle(engine, first, stop, statuses, results)
-            self._observe(engine, first, min(cutoff + 1, end))
+            if results is None and degraded_before[stop] == degraded_before[first]:
+                engine.rounds_processed += stop - first
+                if stop > first:
+                    engine.last_accepted = outputs[stop - 1]
+            else:
+                self._settle(engine, first, stop, statuses, results)
             for writeback in self.writebacks[index]:
                 writeback()
             if cutoff < end:
@@ -541,54 +610,49 @@ class _BatchContext:
         results: Optional[List[FusionResult]],
     ) -> None:
         """Statuses, held values and engine statistics of one segment's
-        rows before the cutoff."""
+        rows before the cutoff, row by row."""
         values = self.outputs
         last = engine.last_accepted
         degraded = 0
-        if results is None and not self.reasons[first:stop].any():
-            # Pure fast path: every round voted, nothing to replay.
-            if stop > first:
-                last = float(values[stop - 1])
-        else:
-            for number in range(first, stop):
-                code = int(self.reasons[number])
-                round_number = number - first
-                if code == 0:
-                    value = float(values[number])
-                    last = value
-                    if results is not None:
-                        results.append(
-                            FusionResult(
-                                round_number=round_number,
-                                value=value,
-                                status="ok",
-                                outcome=self.outcomes[number],
-                            )
+        for number in range(first, stop):
+            code = int(self.reasons[number])
+            round_number = number - first
+            if code == 0:
+                value = float(values[number])
+                last = value
+                if results is not None:
+                    results.append(
+                        FusionResult(
+                            round_number=round_number,
+                            value=value,
+                            status="ok",
+                            outcome=self.outcomes[number],
                         )
-                    continue
-                degraded += 1
-                if self.actions[code] == "last_value" and last is not None:
-                    statuses[number] = "held"
-                    values[number] = last
-                    if results is not None:
-                        results.append(
-                            FusionResult(
-                                round_number=round_number,
-                                value=last,
-                                status="held",
-                            )
+                    )
+                continue
+            degraded += 1
+            if self.actions[code] == "last_value" and last is not None:
+                statuses[number] = "held"
+                values[number] = last
+                if results is not None:
+                    results.append(
+                        FusionResult(
+                            round_number=round_number,
+                            value=last,
+                            status="held",
                         )
-                else:
-                    statuses[number] = "skipped"
-                    values[number] = np.nan
-                    if results is not None:
-                        results.append(
-                            FusionResult(
-                                round_number=round_number,
-                                value=None,
-                                status="skipped",
-                            )
+                    )
+            else:
+                statuses[number] = "skipped"
+                values[number] = np.nan
+                if results is not None:
+                    results.append(
+                        FusionResult(
+                            round_number=round_number,
+                            value=None,
+                            status="skipped",
                         )
+                    )
         engine.rounds_processed += stop - first
         engine.rounds_degraded += degraded
         engine.last_accepted = last
@@ -775,64 +839,231 @@ def _run_history(ctx: _BatchContext) -> None:
 
     Margins, agreement scores and the record steps are row-parallel and
     run once over the whole stack; so do weights, elimination and
-    collation, once every segment's history scan has produced the
-    records each of its rounds voted with.  The scan is the one
-    sequential part: per segment, over that series' own module universe
-    and state.
+    collation, once every segment's records are known for each of its
+    rounds.  Producing those records is the sequential part
+    (:class:`_HistoryScan`): one array step for every plain one-row
+    segment, and a per-segment scan, over that series' own module
+    universe and state, for the rest.
     """
     voter = ctx.engine.voter
     params = voter.params
-    from ..voting.avoc import AvocVoter
-
-    avoc = isinstance(voter, AvocVoter)
-    bootstrap_mode = params.bootstrap_mode if avoc else "never"
-    auto_bootstrap = bootstrap_mode == "auto"
-    failure_tolerance = getattr(voter, "FAILURE_TOLERANCE", 0.05)
-
     source = voter.weight_source
     eliminates = voter.eliminates and params.elimination != "none"
     fixed_elimination = params.elimination == "fixed"
     elimination_cutoff = params.elimination_threshold
-    history = voter.history
-    additive = history.policy == "additive"
-    reward, penalty = history.reward, history.penalty
-    learning_rate = history.learning_rate
-    one_minus_lr = 1.0 - learning_rate
     collation = params.collation.upper()
-    collate = kernels.collation_function(collation)
 
-    margins = kernels.batch_dynamic_margins(
-        ctx.matrix, params.error, params.min_margin, ctx.counts
-    )
-    scores_all = kernels.batch_agreement_scores(
-        ctx.matrix,
-        margins,
-        voter.agreement_kind,
-        params.soft_threshold,
-        ctx.mask,
-        ctx.counts,
-        ctx.votable,
-    )
+    scan = _HistoryScan(ctx)
+    segments = list(ctx.reached())
+    if not ctx.diagnostics and scan.bootstrap_mode != "always":
+        segments = scan.plain_rows(segments)
+    for index, engine, first, end in segments:
+        scan.segment(index, engine, first, end)
 
-    # The clamp and the state-independent half of the record update are
-    # the same expression for every round — hoist them out of the scan.
-    clamped_all = np.minimum(np.maximum(scores_all, 0.0), 1.0)
-    if additive:
-        step_all = reward * clamped_all - penalty * (1.0 - clamped_all)
-    else:
-        step_all = learning_rate * clamped_all
-
-    votable_idx = np.flatnonzero(ctx.votable)
+    votable_idx = scan.votable_idx
+    mask_v = scan.mask_v
+    records_v = scan.records_v
     n_v = int(votable_idx.size)
-    mask_v = ctx.mask[votable_idx]
-    #: Records each votable round voted with, in matrix column order.
-    records_v = np.empty((n_v, ctx.n_modules))
-    is_bootstrap = np.zeros(n_v, dtype=bool)
-    #: Per reached segment: (first, end) in votable space, its module
-    #: universe, per-round before-states and final state (diagnostics).
-    scanned: List[Tuple[int, int, List[str], np.ndarray, np.ndarray]] = []
+    regular = ~scan.is_bootstrap
+    if not regular.any():
+        return
+    values_v = ctx.matrix[votable_idx]
+    scores_v = scan.scores_all[votable_idx]
+    counts_v = ctx.counts[votable_idx]
+    if source == "history":
+        weights_v = records_v.copy()
+    elif source == "agreement":
+        weights_v = scores_v.copy()
+    else:
+        weights_v = np.ones((n_v, ctx.n_modules))
+    if eliminates:
+        if fixed_elimination:
+            eliminated_v = records_v < elimination_cutoff
+        else:
+            means = kernels.batch_masked_mean(records_v, mask_v, counts_v, regular)
+            eliminated_v = records_v < (means[:, None] - 1e-12)
+        weights_v[eliminated_v] = 0.0
+    out_v = kernels.batch_weighted_collate(
+        collation, values_v, weights_v, mask_v, counts_v, regular
+    )
+    sel = np.flatnonzero(regular)
+    ctx.outputs[votable_idx[sel]] = out_v[sel]
+    if not ctx.diagnostics:
+        return
+    for v_first, v_end, universe, before_univ, final in scan.scanned:
+        for i in range(v_first, v_end):
+            if not regular[i]:
+                continue
+            number = int(votable_idx[i])
+            present = np.flatnonzero(mask_v[i])
+            names = _present_modules(ctx, present)
+            weights = weights_v[i, present]
+            # The next round's before-state is this round's after-state;
+            # the segment's last round's is its final state.
+            k = i - v_first
+            after = before_univ[k + 1] if i + 1 < v_end else final
+            ctx.out_weights[number, present] = weights
+            ctx.outcomes[number] = VoteOutcome(
+                round_number=int(ctx.round_of[number]),
+                value=float(out_v[i]),
+                weights={m: float(w) for m, w in zip(names, weights)},
+                history=dict(zip(universe, after.tolist())),
+                agreement={
+                    m: float(s) for m, s in zip(names, scores_v[i, present])
+                },
+                eliminated=tuple(m for m, w in zip(names, weights) if w == 0.0),
+            )
 
-    def scan_segment(index: int, engine: FusionEngine, first: int, end: int):
+
+class _HistoryScan:
+    """The records each votable row of a history-kernel stack votes with.
+
+    :meth:`plain_rows` steps every plain one-row segment at once;
+    :meth:`segment` scans one segment round by round.  Both fill
+    ``records_v`` (records per votable row, in matrix column order) and
+    ``is_bootstrap``, and queue each segment's state commit on the
+    context.
+    """
+
+    def __init__(self, ctx: _BatchContext):
+        from ..voting.avoc import AvocVoter
+
+        voter = ctx.engine.voter
+        params = voter.params
+        self.ctx = ctx
+        self.params = params
+        self.avoc = isinstance(voter, AvocVoter)
+        self.bootstrap_mode = params.bootstrap_mode if self.avoc else "never"
+        self.auto_bootstrap = self.bootstrap_mode == "auto"
+        self.failure_tolerance = getattr(voter, "FAILURE_TOLERANCE", 0.05)
+        history = voter.history
+        self.additive = history.policy == "additive"
+        self.one_minus_lr = 1.0 - history.learning_rate
+        self.collate = kernels.collation_function(params.collation.upper())
+
+        self.margins = kernels.batch_dynamic_margins(
+            ctx.matrix, params.error, params.min_margin, ctx.counts
+        )
+        self.scores_all = kernels.batch_agreement_scores(
+            ctx.matrix,
+            self.margins,
+            voter.agreement_kind,
+            params.soft_threshold,
+            ctx.mask,
+            ctx.counts,
+            ctx.votable,
+        )
+        # The clamp and the state-independent half of the record update
+        # are the same expression for every round — hoist them out of
+        # the scan.
+        clamped_all = np.minimum(np.maximum(self.scores_all, 0.0), 1.0)
+        if self.additive:
+            self.step_all = (
+                history.reward * clamped_all
+                - history.penalty * (1.0 - clamped_all)
+            )
+        else:
+            self.step_all = history.learning_rate * clamped_all
+
+        self.votable_idx = np.flatnonzero(ctx.votable)
+        n_v = int(self.votable_idx.size)
+        self.mask_v = ctx.mask[self.votable_idx]
+        self.records_v = np.empty((n_v, ctx.n_modules))
+        self.is_bootstrap = np.zeros(n_v, dtype=bool)
+        #: Per scanned segment: (first, end) in votable space, its module
+        #: universe, per-round before-states and final state (diagnostics).
+        self.scanned: List[Tuple[int, int, List[str], np.ndarray, np.ndarray]] = []
+
+    def plain_rows(
+        self, segments: List[Tuple[int, FusionEngine, int, int]]
+    ) -> List[Tuple[int, FusionEngine, int, int]]:
+        """One array step for every plain one-row segment.
+
+        A plain segment has one votable row, and its records already
+        hold every batch module.  Their records are gathered into one
+        rows × modules array; rows that would fire an AVOC ``auto``
+        bootstrap are left to the scan, and the rest take the record
+        update in one expression — the elementwise IEEE expression of
+        ``HistoryRecords.update_at`` and the scan.  Returns the segments
+        left for :meth:`segment`.
+        """
+        ctx = self.ctx
+        key = tuple(ctx.modules)
+        votable = ctx.votable
+        rest = []
+        plain = []
+        for segment in segments:
+            _, engine, first, end = segment
+            if end - first == 1 and votable[first]:
+                history = engine.voter.history
+                slots = history.slots_for(key, create=False)
+                if slots is not None:
+                    plain.append((segment, history, slots))
+                    continue
+            rest.append(segment)
+        if not plain:
+            return rest
+        rows = np.fromiter(
+            (segment[2] for segment, _, _ in plain), dtype=np.intp, count=len(plain)
+        )
+        before = np.stack([history.values_at(slots) for _, history, slots in plain])
+        present = ctx.mask[rows]
+        if self.auto_bootstrap:
+            updates = np.fromiter(
+                (history.update_count for _, history, _ in plain),
+                dtype=np.int64,
+                count=len(plain),
+            )
+            # The scalar triggers: a fresh set (no update yet, every
+            # present record 1) or a failed one (every present record at
+            # or below the tolerance).
+            fresh = (updates == 0) & np.all(
+                (np.abs(before - 1.0) <= 1e-12) | ~present, axis=1
+            )
+            failed = np.all((before <= self.failure_tolerance) | ~present, axis=1)
+            reseed = fresh | failed
+            if reseed.any():
+                rest.extend(plain[k][0] for k in np.flatnonzero(reseed))
+                keep = np.flatnonzero(~reseed)
+                plain = [plain[k] for k in keep]
+                rows, before, present = rows[keep], before[keep], present[keep]
+                if not plain:
+                    return rest
+        step = self.step_all[rows]
+        if self.additive:
+            updated = before + step
+        else:
+            updated = self.one_minus_lr * before + step
+        after = np.where(present, np.minimum(np.maximum(updated, 0.0), 1.0), before)
+        self.records_v[np.searchsorted(self.votable_idx, rows)] = before
+        for (segment, history, slots), values in zip(plain, after):
+            ctx.writebacks[segment[0]].append(
+                partial(
+                    _commit_row,
+                    segment[1].voter,
+                    slots,
+                    values,
+                    history.update_count + 1,
+                )
+            )
+        return rest
+
+    def segment(self, index: int, engine: FusionEngine, first: int, end: int) -> None:
+        """Scan one segment's rounds over that series' own records."""
+        ctx = self.ctx
+        params = self.params
+        avoc = self.avoc
+        bootstrap_mode = self.bootstrap_mode
+        auto_bootstrap = self.auto_bootstrap
+        failure_tolerance = self.failure_tolerance
+        additive = self.additive
+        one_minus_lr = self.one_minus_lr
+        collate = self.collate
+        margins = self.margins
+        step_all = self.step_all
+        votable_idx = self.votable_idx
+        is_bootstrap = self.is_bootstrap
+
         seg_voter = engine.voter
         seg_history = seg_voter.history
         existing = list(seg_history.modules)
@@ -847,7 +1078,7 @@ def _run_history(ctx: _BatchContext) -> None:
         v_first, v_end = np.searchsorted(votable_idx, (first, end)).tolist()
         n_seg = v_end - v_first
         rows = votable_idx[v_first:v_end]
-        seg_mask = mask_v[v_first:v_end]
+        seg_mask = self.mask_v[v_first:v_end]
         before_univ = np.empty((n_seg, n_univ))
         step_univ = present_univ = None
 
@@ -971,9 +1202,9 @@ def _run_history(ctx: _BatchContext) -> None:
             if committed < b:
                 scalar_round(i)
                 i += 1
-        records_v[v_first:v_end] = before_univ[:, cols]
+        self.records_v[v_first:v_end] = before_univ[:, cols]
         if ctx.diagnostics:
-            scanned.append((v_first, v_end, universe, before_univ, state))
+            self.scanned.append((v_first, v_end, universe, before_univ, state))
 
         update_count = update_count0 + n_seg
         rounds_voted = seg_voter._rounds_voted + n_seg
@@ -995,55 +1226,9 @@ def _run_history(ctx: _BatchContext) -> None:
 
         ctx.writebacks[index].append(writeback)
 
-    for index, engine, first, end in ctx.reached():
-        scan_segment(index, engine, first, end)
 
-    regular = ~is_bootstrap
-    if not regular.any():
-        return
-    values_v = ctx.matrix[votable_idx]
-    scores_v = scores_all[votable_idx]
-    counts_v = ctx.counts[votable_idx]
-    if source == "history":
-        weights_v = records_v.copy()
-    elif source == "agreement":
-        weights_v = scores_v.copy()
-    else:
-        weights_v = np.ones((n_v, ctx.n_modules))
-    if eliminates:
-        if fixed_elimination:
-            eliminated_v = records_v < elimination_cutoff
-        else:
-            means = kernels.batch_masked_mean(records_v, mask_v, counts_v, regular)
-            eliminated_v = records_v < (means[:, None] - 1e-12)
-        weights_v[eliminated_v] = 0.0
-    out_v = kernels.batch_weighted_collate(
-        collation, values_v, weights_v, mask_v, counts_v, regular
-    )
-    sel = np.flatnonzero(regular)
-    ctx.outputs[votable_idx[sel]] = out_v[sel]
-    if not ctx.diagnostics:
-        return
-    for v_first, v_end, universe, before_univ, final in scanned:
-        for i in range(v_first, v_end):
-            if not regular[i]:
-                continue
-            number = int(votable_idx[i])
-            present = np.flatnonzero(mask_v[i])
-            names = _present_modules(ctx, present)
-            weights = weights_v[i, present]
-            # The next round's before-state is this round's after-state;
-            # the segment's last round's is its final state.
-            k = i - v_first
-            after = before_univ[k + 1] if i + 1 < v_end else final
-            ctx.out_weights[number, present] = weights
-            ctx.outcomes[number] = VoteOutcome(
-                round_number=int(ctx.round_of[number]),
-                value=float(out_v[i]),
-                weights={m: float(w) for m, w in zip(names, weights)},
-                history=dict(zip(universe, after.tolist())),
-                agreement={
-                    m: float(s) for m, s in zip(names, scores_v[i, present])
-                },
-                eliminated=tuple(m for m, w in zip(names, weights) if w == 0.0),
-            )
+def _commit_row(voter: Voter, slots: np.ndarray, values: np.ndarray,
+                update_count: int) -> None:
+    """Write back one plain segment's array step (see ``_run_history``)."""
+    voter.history.commit_at(slots, values, update_count)
+    voter._rounds_voted += 1

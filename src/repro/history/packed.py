@@ -77,6 +77,9 @@ _META = struct.Struct("<QI")  # updates, n_modules
 #: dozen segments.
 DEFAULT_SEGMENT_BYTES = 4 * 1024 * 1024
 
+#: Compaction copies live blocks in chunks of about this many bytes.
+_COMPACT_CHUNK_BYTES = 16 * 1024
+
 
 def _encode_block(series: str, records: Mapping[str, float], updates: int) -> bytes:
     series_b = series.encode("utf-8")
@@ -116,8 +119,9 @@ def _decode_names(blob: bytes, n_modules: int) -> Tuple[str, ...]:
     return tuple(names)
 
 
-def _decode_block(buffer: bytes, offset: int, length: int) -> Tuple[str, Dict[str, float], int]:
-    """Decode one block; raises ``HistoryStoreError`` on any corruption."""
+def _block_payload(buffer: bytes, offset: int, length: int) -> bytes:
+    """The crc-checked payload of one block; raises ``HistoryStoreError``
+    on any corruption."""
     if offset < 0 or offset + length > len(buffer):
         raise HistoryStoreError("block lies outside the segment")
     if length < _HEADER.size:
@@ -130,11 +134,21 @@ def _decode_block(buffer: bytes, offset: int, length: int) -> Tuple[str, Dict[st
     payload = bytes(buffer[offset + _HEADER.size: offset + length])
     if zlib.crc32(payload) != crc:
         raise HistoryStoreError("block checksum mismatch")
-    pos = 0
-    (series_len,) = _U16.unpack_from(payload, pos)
-    pos += _U16.size
-    series = payload[pos: pos + series_len].decode("utf-8")
-    pos += series_len
+    return payload
+
+
+def _block_series(payload: bytes) -> str:
+    """The series key a block payload embeds."""
+    (series_len,) = _U16.unpack_from(payload, 0)
+    return payload[_U16.size: _U16.size + series_len].decode("utf-8")
+
+
+def _decode_block(buffer: bytes, offset: int, length: int) -> Tuple[str, Dict[str, float], int]:
+    """Decode one block; raises ``HistoryStoreError`` on any corruption."""
+    payload = _block_payload(buffer, offset, length)
+    (series_len,) = _U16.unpack_from(payload, 0)
+    pos = _U16.size + series_len
+    series = payload[_U16.size: pos].decode("utf-8")
     updates, n_modules = _META.unpack_from(payload, pos)
     pos += _META.size
     values_at = len(payload) - 8 * n_modules
@@ -370,29 +384,34 @@ class PackedHistoryStore(SeriesStateStore):
         with self._lock:
             if self._closed:
                 raise HistoryStoreError("packed store is closed")
-            self._writer()
-            offset = self._segment_sizes[self._active_segment]
-            run: List[bytes] = []
-            entries: List[Tuple[str, _Entry]] = []
-            for series, block in blocks:
-                if offset + len(block) > self.segment_bytes and offset > 0:
-                    self._append_run(run, offset)
-                    run = []
-                    self._roll_segment()
-                    self._writer()
-                    offset = 0
-                entries.append(
-                    (series, _Entry(self._active_segment, offset, len(block)))
-                )
-                run.append(block)
-                offset += len(block)
-            self._append_run(run, offset)
-            self._append_index(
-                "".join(_index_line(series, entry) for series, entry in entries)
-            )
-            for series, entry in entries:
-                self._set_entry(series, entry)
+            self._append_blocks(blocks)
             self._maybe_compact()
+
+    def _append_blocks(self, blocks: List[Tuple[str, bytes]]) -> None:
+        """Append encoded ``(series, block)`` pairs, then their index
+        lines, then point the series at them."""
+        self._writer()
+        offset = self._segment_sizes[self._active_segment]
+        run: List[bytes] = []
+        entries: List[Tuple[str, _Entry]] = []
+        for series, block in blocks:
+            if offset + len(block) > self.segment_bytes and offset > 0:
+                self._append_run(run, offset)
+                run = []
+                self._roll_segment()
+                self._writer()
+                offset = 0
+            entries.append(
+                (series, _Entry(self._active_segment, offset, len(block)))
+            )
+            run.append(block)
+            offset += len(block)
+        self._append_run(run, offset)
+        self._append_index(
+            "".join(_index_line(series, entry) for series, entry in entries)
+        )
+        for series, entry in entries:
+            self._set_entry(series, entry)
 
     def _append_run(self, blocks: List[bytes], end: int) -> None:
         """Append ``blocks`` to the active segment, which then ends at ``end``."""
@@ -494,6 +513,18 @@ class PackedHistoryStore(SeriesStateStore):
 
     # -- compaction --------------------------------------------------------
 
+    def _raw_block(self, series: str, entry: _Entry) -> Optional[bytes]:
+        """The raw bytes of ``series``' block at ``entry``, or None when
+        it fails its checksum or belongs to another series."""
+        try:
+            buffer = self._map(entry.segment, entry.offset + entry.length)
+            payload = _block_payload(buffer, entry.offset, entry.length)
+            if _block_series(payload) != series:
+                return None
+        except (HistoryStoreError, OSError, ValueError):
+            return None
+        return bytes(buffer[entry.offset: entry.offset + entry.length])
+
     def _maybe_compact(self) -> None:
         if self.compact_dead_fraction is None or self._compacting:
             return
@@ -505,14 +536,17 @@ class PackedHistoryStore(SeriesStateStore):
             self.compact()
 
     def compact(self) -> None:
-        """Rewrite every live block into fresh segments, drop the rest.
+        """Copy every live block into fresh segments, drop the rest.
 
-        Crash-safe by ordering: live blocks are re-appended (with index
-        lines) first, then the index log is rewritten atomically to one
-        line per series, and only then are the dead segment files
-        unlinked.  A crash at any point leaves a loadable store — at
-        worst with some duplicated (dead) blocks that the next
-        compaction reclaims.
+        Blocks are copied raw, after their checksum and series key are
+        checked, in chunks of about ``_COMPACT_CHUNK_BYTES``: one
+        segment append and one index append per chunk, and at most one
+        chunk held in memory.  Crash-safe by ordering: live blocks are
+        re-appended (with index lines) first, then the index log is
+        rewritten atomically to one line per series, and only then are
+        the dead segment files unlinked.  A crash at any point leaves a
+        loadable store — at worst with some duplicated (dead) blocks
+        that the next compaction reclaims.
         """
         with self._lock:
             if self._compacting:
@@ -536,16 +570,27 @@ class PackedHistoryStore(SeriesStateStore):
         if self._segment_sizes.get(self._active_segment, 0) > 0:
             old_segments.append(self._active_segment)
             self._roll_segment()
+        chunk: List[Tuple[str, bytes]] = []
+        size = 0
         for series in list(self._entries):
             entry = self._entries[series]
             if entry.segment == self._active_segment:
                 continue
-            state = self.read(series)
-            if state is None:
+            # A corrupt latest block falls back to the previous durable
+            # one, as read() does.
+            block = self._raw_block(series, entry)
+            if block is None and series in self._stale:
+                block = self._raw_block(series, self._stale[series])
+            if block is None:
                 self._drop_entry(series)
                 continue
-            records, updates = state
-            self.write(series, records, updates)
+            chunk.append((series, block))
+            size += len(block)
+            if size >= _COMPACT_CHUNK_BYTES:
+                self._append_blocks(chunk)
+                chunk, size = [], 0
+        if chunk:
+            self._append_blocks(chunk)
         # The full index is now redundant: rewrite it to one line
         # per live series, atomically.
         lines = [

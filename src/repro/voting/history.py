@@ -18,8 +18,9 @@ Records can be attached to a per-series store view
 with ``load_state``/``save_state``/``clear``) so every update is
 persisted, mirroring the paper's datastore-backed deployment (its
 stated latency bottleneck).  A per-round update commits once per
-round; the batch kernel's :meth:`HistoryRecords.absorb` commits a
-whole batch once.
+round; the batch kernel commits a whole batch once, through
+:meth:`HistoryRecords.absorb` or, when only known records changed,
+:meth:`HistoryRecords.commit_at`.
 
 Storage layout
 --------------
@@ -37,7 +38,7 @@ scalar loop, so outputs are bit-identical.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Mapping, Tuple
+from typing import Dict, Iterable, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -94,9 +95,10 @@ class HistoryRecords:
         """Bind to a per-series store view and load its state.
 
         ``None`` detaches: later updates persist nowhere and
-        :meth:`reset` leaves the previous store's state alone.  Loading
-        is meant for empty records — at construction, or after a
-        detach + :meth:`reset` rebinds the records to another series.
+        :meth:`reset` leaves the previous store's state alone.  A
+        stored state replaces the records; loading is meant for empty
+        records — at construction, or after a detach + :meth:`reset`
+        rebinds the records to another series.
         """
         self._store = store
         if store is None:
@@ -108,9 +110,26 @@ class HistoryRecords:
         state = store.load_state()
         if state is not None:
             records, updates = state
-            for module, value in records.items():
-                self._set(module, float(value))
+            self._load(records)
             self._updates = int(updates)
+
+    def _load(self, records: Mapping[str, float], clamp: bool = False) -> None:
+        """Replace every record with ``records`` in one array write
+        (clamped into ``[0, 1]`` like :meth:`seed` when ``clamp``).
+
+        The mapping's order becomes the slot order, as interning the
+        modules one by one would make it.
+        """
+        n = len(records)
+        values = records.values()
+        if clamp:
+            # Python's min/max, not NumPy's: they keep a -0.0 record.
+            values = (min(max(float(v), 0.0), 1.0) for v in values)
+        values = np.fromiter(values, dtype=float, count=n)
+        self._index = dict(zip(records, range(n)))
+        self._values = np.empty(max(8, n), dtype=float)
+        self._values[:n] = values
+        self._slot_cache.clear()
 
     # -- slot management --------------------------------------------------
 
@@ -135,15 +154,23 @@ class HistoryRecords:
         slot = self._slot(module)
         self._values[slot] = value
 
-    def slots_for(self, modules: Tuple[str, ...]) -> np.ndarray:
-        """Interned slot indices for a module tuple (materialises them).
+    def slots_for(
+        self, modules: Tuple[str, ...], create: bool = True
+    ) -> Optional[np.ndarray]:
+        """Interned slot indices for a module tuple.
 
         The returned array is cached per exact module tuple, so a hot
         loop voting the same roster every round pays the dict lookups
-        once and then reuses one index array.
+        once and then reuses one index array.  Unseen modules are
+        materialised, unless ``create`` is false: then the answer is
+        None and nothing changes.
         """
         slots = self._slot_cache.get(modules)
         if slots is None:
+            if not create:
+                index = self._index
+                if any(m not in index for m in modules):
+                    return None
             slots = np.asarray([self._slot(m) for m in modules], dtype=np.intp)
             self._slot_cache[modules] = slots
         return slots
@@ -265,11 +292,21 @@ class HistoryRecords:
         the attached store with one ``save_state`` (records plus update
         counter), so a batch costs one store commit, not one per round.
         """
-        self._index = {}
-        self._values = np.empty(max(8, len(records)), dtype=float)
-        self._slot_cache.clear()
-        for module, value in records.items():
-            self._set(module, min(max(float(value), 0.0), 1.0))
+        self._load(records, clamp=True)
+        self._updates = int(update_count)
+        self.persist()
+
+    def commit_at(
+        self, slots: np.ndarray, values: np.ndarray, update_count: int
+    ) -> None:
+        """Set the records at interned ``slots`` and the update counter.
+
+        The array twin of :meth:`absorb` for a kernel whose records
+        already hold every module it wrote: ``values`` (already in
+        ``[0, 1]``) land at ``slots`` with no re-interning, and the new
+        state goes to the attached store with one ``save_state``.
+        """
+        self._values[slots] = values
         self._updates = int(update_count)
         self.persist()
 

@@ -270,6 +270,37 @@ class TestReplayCacheBounds:
         assert client.vote(0, values, series="s")["round"] == 0
 
 
+class TestWatermarkLog:
+    """Voted-rounds log lines are formatted from the series' JSON string
+    and the round number, byte for byte as ``json.dumps`` of the entry."""
+
+    KEYS = ["plain", 'say "hi"', "back\\slash\\", "naïve-ß-東京", "tab\tnew\nline",
+            "emoji-\U0001f600", ""]
+
+    @pytest.mark.parametrize("number", [0, 7, -3, 2**63 - 1, 10**30])
+    @pytest.mark.parametrize("key", KEYS)
+    def test_line_is_json_dumps_of_the_entry(self, key, number):
+        assert backend_mod._watermark_line(key, number) == (
+            json.dumps({"series": key, "round": number}) + "\n"
+        )
+
+    @pytest.mark.parametrize("compact", (False, True), ids=("appended", "rewritten"))
+    def test_lines_load_back(self, tmp_path, compact):
+        server = ShardServer(AVOC_SPEC, history_dir=tmp_path, store="memory")
+        marks = {key: 40 + k for k, key in enumerate(self.KEYS)}
+        server._record_watermark(marks)
+        server._record_watermark({self.KEYS[0]: 99, self.KEYS[1]: 3})
+        marks[self.KEYS[0]] = 99  # advanced; the older 3 is ignored
+        if compact:
+            server._write_watermarks()
+        text = server._watermark_path().read_text(encoding="utf-8")
+        for line in text.splitlines():
+            entry = json.loads(line)
+            assert line + "\n" == json.dumps(entry) + "\n"
+        assert server._load_watermarks() == marks
+        server.stop()
+
+
 class TestSyncHistory:
     def test_seed_records_without_counting_updates(self, client):
         records = {"E1": 0.9, "E2": 0.4, "E3": 0.7}

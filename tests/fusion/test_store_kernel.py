@@ -450,3 +450,311 @@ class TestSegmentValidation:
         with pytest.raises(FusionError, match="configuration"):
             a.process_batch(np.ones((2, 3)), segments=[(a, 1), (c, 1)])
         assert a.rounds_processed == 0
+
+
+# -- one-row stacks: the array step against the per-series loop ---------------
+#
+# A stack of one-row segments takes one array step for every *plain*
+# segment (one votable row, records that already hold every batch
+# module); bootstrap rows, segments lacking a module, empty rows and
+# multi-row segments stay on the per-segment scan.  Every kind meets in
+# one stack here, and each engine must end exactly as the per-series
+# ``engine.process`` loop leaves it.
+
+HISTORY_SPECS = ("AVOC", "Hybrid", "Standard", "Me", "Sdt")
+ONE_ROW_KINDS = (
+    "fresh",  # never voted: records lack every module
+    "materialised",  # records all 1, no update yet: the AVOC fresh set
+    "warm",
+    "faulty",  # E4 carries the +6 offset fault
+    "failed",  # every record at or below FAILURE_TOLERANCE
+    "failed_but_one",  # ... except E5, which its lenient row lacks
+    "edges",  # records exactly at 0.0 and 1.0
+    "ones",  # records all 1 after updates: no fresh set
+    "seeded",  # no update yet, records 1 but for E5, which its lenient row lacks
+    "narrow",  # records lack E5
+    "empty_row",  # an all-missing row
+    "gap_row",  # one missing reading: quorum-failed under the spec
+    "multi",  # a three-row segment
+)
+SPEC_COUNTERS = (
+    "fusion_rounds_total",
+    "fusion_rounds_degraded_total",
+    "fusion_quorum_failures_total",
+)
+
+
+def history_variants():
+    variants = []
+    for name in HISTORY_SPECS:
+        modes = ("auto", "always", "never") if name == "AVOC" else (None,)
+        for mode in modes:
+            for policy in POLICIES:
+                variants.append(
+                    pytest.param(
+                        name, mode, policy, id=f"{name}-{mode or 'spec'}-{policy}"
+                    )
+                )
+    return variants
+
+
+def history_engine(name, mode, policy, config, store=None, registry=None):
+    """An engine of the named example spec, with the record policy and
+    (AVOC) bootstrap mode overridden, under one fault configuration:
+    ``spec`` (its own 100 % quorum), ``lenient`` (no quorum, so partial
+    rows vote and an all-missing row reaches the voter) or ``raise``."""
+    from repro.fusion.quorum import QuorumRule
+    from repro.vdx.examples import all_example_specs
+    from repro.vdx.factory import build_voter
+
+    spec = all_example_specs()[name]
+    voter = build_voter(spec)
+    overrides = {"history_policy": policy}
+    if mode is not None:
+        overrides["bootstrap_mode"] = mode
+    voter = type(voter)(
+        params=voter.params.with_overrides(**overrides), history_store=store
+    )
+    engine = FusionEngine.from_spec(spec, voter, registry=registry)
+    if config == "lenient":
+        engine.quorum = QuorumRule()
+        # FaultPolicy validation keeps the tolerance below 1, which
+        # leaves an all-missing row to the voter's EmptyRoundError only
+        # when the check is bypassed; the kernel handles that row too.
+        lenient = FaultPolicy()
+        object.__setattr__(lenient, "missing_tolerance", 1.0)
+        engine.fault_policy = lenient
+    elif config == "raise":
+        engine.fault_policy = FaultPolicy(on_missing_majority="raise")
+    return engine
+
+
+def process_rows(engine, rows, modules):
+    """The per-series loop: ``engine.process`` row by row, from round 0."""
+    from repro.types import Round
+
+    return [
+        engine.process(
+            Round.from_mapping(
+                number,
+                {m: (None if np.isnan(v) else float(v)) for m, v in zip(modules, row)},
+            )
+        )
+        for number, row in enumerate(rows)
+    ]
+
+
+def prepare(engine, kind, matrix, modules):
+    """Bring a series to its kind's state (identically on both sides)."""
+    history = engine.voter.history
+    rows = matrix[:4].copy()
+    if kind == "faulty":
+        rows[:, 3] += 6.0
+    if kind == "fresh":
+        return
+    if kind == "materialised":
+        history.ensure(modules)
+        return
+    if kind == "narrow":
+        process_rows(engine, rows[:, :4], modules[:4])
+        return
+    process_rows(engine, rows, modules)
+    pinned = {
+        "failed": [0.01, 0.05, 0.0, 0.03, 0.04],
+        "failed_but_one": [0.01, 0.05, 0.0, 0.03, 0.6],
+        "edges": [0.0, 1.0, 1.0, 0.0, 0.5],
+        "ones": [1.0] * 5,
+        "seeded": [1.0, 1.0, 1.0, 1.0, 0.2],
+    }.get(kind)
+    if pinned is not None:
+        # A seed without an update (as a rebalance resync leaves it)
+        # keeps the counter at 0.
+        updates = 0 if kind == "seeded" else history.update_count
+        history.absorb(dict(zip(modules, pinned)), updates)
+
+
+def request_rows(kind, matrix, config, offset):
+    """The rows a kind's segment sends in one request."""
+    rows = matrix[offset : offset + (3 if kind == "multi" else 1)].copy()
+    if kind == "faulty":
+        rows[:, 3] += 6.0
+    elif kind == "empty_row" and offset == 10:
+        rows[:] = np.nan
+    elif kind == "gap_row":
+        rows[:, 1] = np.nan
+    elif kind in ("failed_but_one", "seeded") and config == "lenient":
+        rows[:, 4] = np.nan
+    return rows
+
+
+def engine_fields(engine):
+    """Every state field the stacked call must leave as the loop does."""
+    voter = engine.voter
+    history = voter.history
+    return {
+        "records": list(history.snapshot().items()),
+        "updates": history.update_count,
+        "rounds_voted": voter._rounds_voted,
+        "bootstraps": bootstraps(voter),
+        "last_accepted": engine.last_accepted,
+        "counters": (engine.rounds_processed, engine.rounds_degraded),
+        "roster": list(engine.roster),
+    }
+
+
+def counters(registry):
+    snapshot = registry.snapshot()
+    return {name: snapshot.get(name, {}).get("samples") for name in SPEC_COUNTERS}
+
+
+def run_one_row_stacks(uc1_clean, name, mode, policy, config, attached, order):
+    matrix, modules = uc1_clean
+    sides = {}
+    for side in ("stacked", "loop"):
+        registry = MetricsRegistry()
+        tiered = (
+            TieredHistoryStore(MemoryStateStore(), registry=registry)
+            if attached and side == "stacked"
+            else None
+        )
+        engines = {}
+        for kind in ONE_ROW_KINDS:
+            store = tiered.store_for(kind) if tiered is not None else None
+            engines[kind] = history_engine(
+                name, mode, policy, config, store=store, registry=registry
+            )
+            prepare(engines[kind], kind, matrix, modules)
+        sides[side] = (engines, registry, tiered)
+
+    engines, registry, tiered = sides["stacked"]
+    reference, ref_registry, _ = sides["loop"]
+    errors = {}
+    for offset in (10, 20):
+        request = [(kind, request_rows(kind, matrix, config, offset)) for kind in order]
+        try:
+            got = engines[order[0]].process_batch(
+                np.concatenate([rows for _, rows in request]),
+                modules,
+                segments=[(engines[kind], len(rows)) for kind, rows in request],
+            )
+        except FusionError as error:
+            got, errors["stacked"] = None, str(error)
+        want = []
+        try:
+            for kind, rows in request:
+                want += process_rows(reference[kind], rows, modules)
+        except FusionError as error:
+            errors["loop"] = str(error)
+        if got is not None:
+            np.testing.assert_array_equal(
+                got.values,
+                [np.nan if r.value is None else r.value for r in want],
+            )
+            assert got.statuses.tolist() == [r.status for r in want]
+        for kind in ONE_ROW_KINDS:
+            assert engine_fields(engines[kind]) == engine_fields(reference[kind]), kind
+            if tiered is not None:
+                history = engines[kind].voter.history
+                state = tiered.backing.read(kind) or ({}, 0)
+                assert state == (history.snapshot(), history.update_count), kind
+        assert counters(registry) == counters(ref_registry)
+        if errors:
+            break
+    return errors
+
+
+@pytest.mark.parametrize("attached", (False, True), ids=("detached", "attached"))
+@pytest.mark.parametrize("config", ("spec", "lenient"))
+@pytest.mark.parametrize("name,mode,policy", history_variants())
+def test_one_row_stacks_match_the_per_series_loop(
+    uc1_clean, name, mode, policy, config, attached
+):
+    errors = run_one_row_stacks(
+        uc1_clean, name, mode, policy, config, attached, list(ONE_ROW_KINDS)
+    )
+    assert errors == {}
+
+
+@pytest.mark.parametrize("name,mode,policy", history_variants())
+def test_raise_cuts_a_one_row_stack_where_the_loop_stops(
+    uc1_clean, name, mode, policy
+):
+    """The all-missing row of the middle segment raises: segments before
+    it commit (through the array step or the scan), later ones stay
+    untouched, as in the per-series loop."""
+    kinds = list(ONE_ROW_KINDS)
+    kinds.remove("empty_row")
+    order = kinds[:6] + ["empty_row"] + kinds[6:]
+    errors = run_one_row_stacks(
+        uc1_clean, name, mode, policy, "raise", True, order
+    )
+    assert errors["stacked"] == errors["loop"] == "round 0 rejected: majority of values missing"
+
+
+def test_one_row_stack_takes_the_array_step(uc1_clean, monkeypatch):
+    """Tripwire: a 64 × 1-row AVOC stack over resident, non-bootstrap
+    series neither scans a segment nor re-interns records through
+    ``absorb``; each series commits once through ``commit_at``."""
+    from repro.fusion import batch
+    from repro.vdx.examples import AVOC_SPEC
+    from repro.vdx.factory import build_engine
+    from repro.voting.history import HistoryRecords
+
+    matrix, modules = uc1_clean
+    tiered = TieredHistoryStore(MemoryStateStore(), registry=MetricsRegistry())
+    engines = [
+        build_engine(AVOC_SPEC, history_store=tiered.store_for(f"s{k}"))
+        for k in range(64)
+    ]
+    for k, engine in enumerate(engines):
+        engine.process_batch(matrix[k : k + 3], modules)
+    calls = {"segment": 0, "absorb": 0, "commit_at": 0}
+
+    def counting(name, method):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return method(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        batch._HistoryScan, "segment",
+        counting("segment", batch._HistoryScan.segment),
+    )
+    for method in ("absorb", "commit_at"):
+        monkeypatch.setattr(
+            HistoryRecords, method, counting(method, getattr(HistoryRecords, method))
+        )
+    with tiered.commit_scope():
+        result = engines[0].process_batch(
+            matrix[80:144], modules, segments=[(e, 1) for e in engines]
+        )
+    assert result.statuses.tolist() == ["ok"] * 64
+    assert calls == {"segment": 0, "absorb": 0, "commit_at": 64}
+
+
+def test_stack_counts_each_registry_once(uc1_clean):
+    """Segments instrumented against two registries: each registry's
+    counters read as the per-series loop leaves them."""
+    matrix, modules = uc1_clean
+    rows = matrix[30:36].copy()
+    rows[1, 0:3] = np.nan  # majority missing: held
+    rows[4, 2] = np.nan  # quorum failure: skipped
+    snapshots = {}
+    for side in ("stacked", "loop"):
+        registries = (MetricsRegistry(), MetricsRegistry())
+        engines = [
+            history_engine("AVOC", None, "ema", "spec", registry=registries[k % 2])
+            for k in range(6)
+        ]
+        for engine in engines:
+            process_rows(engine, matrix[:3], modules)
+        if side == "stacked":
+            engines[0].process_batch(
+                rows, modules, segments=[(e, 1) for e in engines]
+            )
+        else:
+            for engine, row in zip(engines, rows):
+                process_rows(engine, row[None, :], modules)
+        snapshots[side] = [counters(registry) for registry in registries]
+    assert snapshots["stacked"] == snapshots["loop"]

@@ -143,6 +143,58 @@ class TestSegments:
         assert reopened.read("s7") == before
         reopened.close()
 
+    def test_compaction_copies_checked_blocks_per_chunk(
+        self, tmp_path, monkeypatch
+    ):
+        """Compaction copies raw blocks with one segment append and one
+        index append per chunk, not per series; a block that fails its
+        checksum is replaced by the series' previous one, and the state
+        after compaction and reopen equals the state before."""
+        import repro.history.packed as packed_module
+
+        store = PackedHistoryStore(tmp_path, compact_dead_fraction=None)
+        for r in range(3):
+            store.write_many(
+                [(f"s{k}", {"E1": r + k / 1000, "E2": 0.25}, r) for k in range(600)]
+            )
+        expected = {key: store.read(key) for key in store.series()}
+        # Corrupt s5's latest block: its state falls back one batch.
+        entry = store._entries["s5"]
+        with open(store._segment_path(entry.segment), "r+b") as handle:
+            handle.seek(entry.offset + entry.length - 1)
+            last = handle.read(1)
+            handle.seek(entry.offset + entry.length - 1)
+            handle.write(bytes([last[0] ^ 0xFF]))
+        store._drop_maps()
+        expected["s5"] = ({"E1": 1 + 5 / 1000, "E2": 0.25}, 1)
+        assert store.read("s5") == expected["s5"]
+
+        chunk_bytes = 4096
+        monkeypatch.setattr(packed_module, "_COMPACT_CHUNK_BYTES", chunk_bytes)
+        chunks, size = 0, 0
+        for entry in store._entries.values():
+            size += entry.length
+            if size >= chunk_bytes:
+                chunks, size = chunks + 1, 0
+        chunks += size > 0
+        appends = {"_append_run": 0, "_append_index": 0}
+        for name in appends:
+            method = getattr(store, name)
+
+            def counting(*args, _name=name, _method=method):
+                appends[_name] += 1
+                return _method(*args)
+
+            monkeypatch.setattr(store, name, counting)
+        store.compact()
+        assert 2 < chunks < 600 // 10
+        assert appends == {"_append_run": chunks, "_append_index": chunks}
+        assert store.dead_bytes == 0
+        assert {key: store.read(key) for key in store.series()} == expected
+        store.close()
+        with PackedHistoryStore(tmp_path) as reopened:
+            assert {key: reopened.read(key) for key in reopened.series()} == expected
+
     def test_auto_compaction_triggers_on_dead_fraction(self, tmp_path):
         store = PackedHistoryStore(
             tmp_path,
