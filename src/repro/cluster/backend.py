@@ -17,6 +17,8 @@ highest round number ever voted, appended to a log next to the history
 stores — guarantees a round is never applied to history twice, even
 across a crash: a replay that falls behind the cache is refused
 instead of re-applied, and the replica set's majority answers it.
+The watermark log and the history store are also how a restarted
+shard knows which series it hosts.
 
 :class:`ManagedBackend` runs a shard server in a forked subprocess
 (falling back to an in-process thread where ``fork`` is unavailable)
@@ -54,8 +56,9 @@ from ..service.client import VoterClient
 from ..service.protocol import ErrorCode, ProtocolError, ok_response
 from ..service.server import VoterServer, _numeric
 from ..util import atomic_write
-from ..vdx.factory import build_engine
+from ..vdx.factory import build_engine, build_voter
 from ..vdx.spec import VotingSpec
+from ..voting.base import HistoryAwareVoter
 
 __all__ = ["ManagedBackend", "ShardServer", "STORE_KINDS"]
 
@@ -146,6 +149,48 @@ class _ReplayWindow:
             del self.codes[:excess]
 
 
+class _Series:
+    """One hosted series' row: the shard-side state of the series.
+
+    ``voted`` is the replay window and ``pending`` the submissions of
+    rounds not yet voted.  While the series has no engine, the row also
+    parks what its store cannot hold: the last accepted value, the
+    roster (a tuple shared by every series with the same modules) and,
+    for a stateful voter whose state is not store-attached
+    ``HistoryRecords``, the voter itself.
+    """
+
+    __slots__ = ("voted", "pending", "last_accepted", "roster", "voter")
+
+    def __init__(self) -> None:
+        self.voted = _ReplayWindow()
+        self.pending: Dict[int, Dict[str, Optional[float]]] = {}
+        self.last_accepted: Any = None
+        self.roster: Tuple[str, ...] = ()
+        self.voter: Any = None
+
+
+def _already_voted(series: str, number: int) -> ProtocolError:
+    """The refusal of a round at or below the series' voted watermark
+    that has no cached answer left to replay."""
+    return ProtocolError(
+        f"round {number} for series {series!r} was already voted",
+        code=ErrorCode.ALREADY_VOTED,
+    )
+
+
+def _holds_legacy_logs(directory: Path) -> bool:
+    """Does ``directory`` hold per-series JSONL logs that a pre-packed
+    shard listed in its ``series-index.json``?"""
+    try:
+        keys = json.loads(
+            (directory / "series-index.json").read_text(encoding="utf-8")
+        )
+    except (OSError, ValueError):
+        return False
+    return any((directory / series_filename(str(key))).exists() for key in keys)
+
+
 def _share_configuration(engine, template) -> None:
     """Let ``engine`` hold ``template``'s frozen configuration objects.
 
@@ -174,13 +219,14 @@ class ShardServer(VoterServer):
     ``store`` backing (``packed`` by default — the mmap segment store
     that scales to millions of series; ``sqlite``; ``memory``).
 
-    Engine residency is LRU-bounded at ``max_resident_series``: a
+    Each series has a row in one table; engine residency is LRU-bounded
+    at ``max_resident_series``, the shard's one residency bound, and a
     shard builds at most that many engines in its life.  Once it is
     full, a series that is not resident — new, hosted before a restart,
-    or evicted — takes over the least-recently-used engine, which is
-    reset and rebound to the series' stored state (every vote already
-    wrote the evicted series' state through the tiered store).  The
-    rebound engine votes bit-identically to one that never left memory.
+    or evicted — takes over the least-recently-used engine.  The evicted
+    series' row parks what the store cannot hold, so an evicted series
+    votes bit-identically to one that never left memory; a restart
+    keeps only stored records, update counters and voted watermarks.
     """
 
     #: Shards deduplicate rounds and replay cached results, so peers
@@ -210,26 +256,16 @@ class ShardServer(VoterServer):
             )
         self.max_resident_series = max_resident_series
         self._engines: "OrderedDict[str, Any]" = OrderedDict()
-        self._series_pending: Dict[str, Dict[int, Dict[str, Optional[float]]]] = {}
-        # Replay cache: the answer payload is rebuilt on replay, which
-        # keeps each round small.
-        self._series_voted: Dict[str, _ReplayWindow] = {}
+        # A row per series touched in this process; a series hosted
+        # before a restart is known by its watermark or stored state.
+        self._series: Dict[str, _Series] = {}
+        # Parked rosters, interned: a fleet's series share one tuple.
+        self._rosters: Dict[Tuple[str, ...], Tuple[str, ...]] = {}
         self._series_watermark: Dict[str, int] = self._load_watermarks()
         self._watermark_appends = 0
         if self._history_dir is not None:
             self._history_dir.mkdir(parents=True, exist_ok=True)
-        # Each series' last accepted value, kept beside its watermark: an
-        # engine rebound after eviction holds degraded rounds with it.
-        # It lives in memory only, so a restart still loses it.
-        self._series_last: Dict[str, Any] = {}
         self._tiered = self._build_tiered_store(store, maintenance_interval)
-        # Series hosted before a restart (or evicted since): engines are
-        # created lazily on their first request, so a freshly restarted
-        # shard answers for the history it holds on disk without paying
-        # a cold-start rehydration of every series up front.
-        self._known_series = set(self._load_series_index())
-        if self._tiered is not None:
-            self._known_series.update(self._tiered.series())
 
     def _build_tiered_store(
         self, store: Optional[str], maintenance_interval: Optional[float]
@@ -248,10 +284,12 @@ class ShardServer(VoterServer):
             raise ReproError(f"store {store!r} requires a history directory")
         if store == "packed":
             backing = PackedHistoryStore(self._history_dir / "packed")
-            if not len(backing) and any(
-                (self._history_dir / series_filename(key)).exists()
-                for key in self._load_series_index()
-            ):
+            if len(backing):
+                # A migrated directory: nothing reads the old index any
+                # more, and left behind it would make the store, once a
+                # reset empties it, look like an unmigrated one.
+                (self._history_dir / "series-index.json").unlink(missing_ok=True)
+            elif _holds_legacy_logs(self._history_dir):
                 # Starting every series fresh would silently drop the
                 # history a pre-packed shard left in per-series logs.
                 backing.close()
@@ -263,9 +301,11 @@ class ShardServer(VoterServer):
             backing = SqliteStateStore(self._history_dir / "series-state.db")
         else:
             backing = MemoryStateStore()
+        # No hot-set bound of its own: every recycle evicts the outgoing
+        # series' entry, so the hot set is exactly the resident engines.
         return TieredHistoryStore(
             backing,
-            hot_series=self.max_resident_series,
+            hot_series=None,
             registry=self.registry,
             maintenance_interval=maintenance_interval,
             maintenance_hook=self._background_maintenance,
@@ -286,35 +326,6 @@ class ShardServer(VoterServer):
         super().stop()
         if self._tiered is not None:
             self._tiered.close()
-
-    def _series_index_path(self) -> Optional[Path]:
-        if self._history_dir is None:
-            return None
-        return self._history_dir / "series-index.json"
-
-    def _load_series_index(self) -> List[str]:
-        path = self._series_index_path()
-        if path is None or not path.exists():
-            return []
-        try:
-            return list(json.loads(path.read_text(encoding="utf-8")))
-        except (OSError, ValueError):  # pragma: no cover - corrupt index
-            return []
-
-    def _record_series(self, *series: str) -> None:
-        """Register new series, with one index write for all of them."""
-        self._known_series.update(series)
-        self._write_series_index()
-
-    def _write_series_index(self) -> None:
-        """Rewrite ``series-index.json`` from the known series."""
-        path = self._series_index_path()
-        if path is None:
-            return
-        # Atomic rewrite: a crash mid-write must leave the previous
-        # complete index, never a truncated one that would make the
-        # restarted shard forget every series it hosts.
-        atomic_write(path, json.dumps(sorted(self._known_series)))
 
     # -- voted watermarks ----------------------------------------------------
 
@@ -373,49 +384,29 @@ class ShardServer(VoterServer):
             handle.write("".join(lines))
         self._watermark_appends += len(lines)
 
-    def _already_voted(self, series: str, number: int) -> bool:
-        """Voted before but no cached payload left to replay?"""
-        if number in self._series_voted.get(series, ()):
-            return False
-        watermark = self._series_watermark.get(series)
-        return watermark is not None and number <= watermark
-
-    def _replay(self, series: str, number: int) -> Optional[Dict[str, Any]]:
-        """The cached answer of an already voted round, or None."""
-        window = self._series_voted.get(series)
-        return window.payload(number) if window is not None else None
-
-    def _cache_result(
-        self, series: str, number: int, value: Optional[float], status: str
-    ) -> None:
-        window = self._series_voted.get(series)
-        if window is None:
-            window = self._series_voted[series] = _ReplayWindow()
-        window.put(number, value, status, self.replay_cache_rounds)
-
-    # -- per-series engines ------------------------------------------------
+    # -- the series table and its engines ----------------------------------
 
     def _engine_for(self, series: str, create: bool = True):
         engine = self._engines.get(series)
         if engine is not None:
             self._engines.move_to_end(series)
             return engine
-        known = series in self._known_series
-        if not create and not known:
-            raise ProtocolError(
-                f"unknown series {series!r}", code=ErrorCode.UNKNOWN_SERIES
-            )
-        # A known-but-not-resident series (evicted, or hosted before a
-        # restart) rehydrates here: its HistoryRecords restore
-        # ``(records, update_count)`` through the tiered store and its
-        # last accepted value comes back from the shard, so it votes
-        # bit-identically to an engine that never left memory.
+        row = self._series.get(series)
+        if row is None:
+            if not create and not (
+                series in self._series_watermark
+                or (self._tiered is not None and series in self._tiered)
+            ):
+                raise ProtocolError(
+                    f"unknown series {series!r}", code=ErrorCode.UNKNOWN_SERIES
+                )
+            row = self._series[series] = _Series()
         if (
             self._tiered is not None
             and self.max_resident_series is not None
             and len(self._engines) >= self.max_resident_series
         ):
-            engine = self._recycle_engine(series)
+            engine = self._recycle_engine(series, row)
         else:
             store = (
                 self._tiered.store_for(series)
@@ -426,38 +417,56 @@ class ShardServer(VoterServer):
                 self.spec, history_store=store, registry=self.registry
             )
             _share_configuration(engine, self.engine)
-        engine.last_accepted = self._series_last.get(series)
+        # A non-resident series resumes here: its HistoryRecords loaded
+        # ``(records, update_count)`` from the tiered store, and its row
+        # hands back everything else the evicted engine held (also on
+        # this build path, once a ``reset`` took the shard below its
+        # bound).
+        engine.last_accepted = row.last_accepted
+        engine.roster = list(row.roster)
+        if row.voter is not None:
+            engine.voter, row.voter = row.voter, None
         self._engines[series] = engine
-        if not known:
-            self._record_series(series)
         return engine
 
-    def _recycle_engine(self, series: str):
+    def _recycle_engine(self, series: str, row: _Series):
         """Evict the least-recently-used engine and rebind it to ``series``.
 
-        The engine ends up as :func:`build_engine` would build it over
-        ``series``' store view: voter state and counters reset, roster
-        empty, records and update counter loaded from the store.
-        Nothing is written here: every commit path already wrote the
-        evicted series' state through to the store.
+        A voter whose state is its store-attached ``HistoryRecords`` is
+        reset and rebound to ``series``' stored state (every commit
+        already wrote the evicted series' state through); any other
+        stateful voter is parked whole, and ``series`` gets its own
+        parked voter or a fresh one.
         """
         evicted, engine = self._engines.popitem(last=False)
-        history = getattr(engine.voter, "history", None)
-        attached = history is not None and history.store is not None
-        if attached:
+        parked = self._series[evicted]
+        parked.last_accepted = engine.last_accepted
+        roster = tuple(engine.roster)
+        parked.roster = self._rosters.setdefault(roster, roster)
+        voter = engine.voter
+        if isinstance(voter, HistoryAwareVoter):
+            history = voter.history
             # Detach first: HistoryRecords.reset() clears its store,
             # which would delete the evicted series' state.
             history.attach(None)
-        engine.reset()
-        engine.roster = []
-        self._tiered.evict(evicted)
-        if attached:
+            voter.reset()
+            self._tiered.evict(evicted)
             history.attach(self._tiered.store_for(series))
+        elif voter.stateful:
+            parked.voter = voter
+            if row.voter is None:
+                engine.voter = build_voter(self.spec)
+                _share_configuration(engine, self.engine)
+        engine.rounds_processed = engine.rounds_degraded = 0
         return engine
 
     @property
     def series_hosted(self) -> Tuple[str, ...]:
-        return tuple(sorted(set(self._engines) | self._known_series))
+        known = set(self._series)
+        known.update(self._series_watermark)
+        if self._tiered is not None:
+            known.update(self._tiered.series())
+        return tuple(sorted(known))
 
     @property
     def resident_series(self) -> Tuple[str, ...]:
@@ -471,24 +480,24 @@ class ShardServer(VoterServer):
     ) -> Dict[str, Any]:
         from ..types import Round
 
-        cached = self._replay(series, number)
+        row = self._series.get(series)
+        cached = row.voted.payload(number) if row is not None else None
         if cached is not None:
             # Replayed write: answer with the original result.
             return cached
-        if self._already_voted(series, number):
+        watermark = self._series_watermark.get(series)
+        if watermark is not None and number <= watermark:
             # Voted before this process (re)started, or evicted from the
             # bounded cache: refuse rather than apply to history twice.
-            raise ProtocolError(
-                f"round {number} was already voted",
-                code=ErrorCode.ALREADY_VOTED,
-            )
+            raise _already_voted(series, number)
         engine = self._engine_for(series)
         # Watermark before commit: a crash between the two leaves the
         # round refused on retry, never applied to history twice.
         self._record_watermark({series: number})
         result = engine.process(Round.from_mapping(number, values))
-        self._series_last[series] = engine.last_accepted
-        self._cache_result(series, number, result.value, result.status)
+        self._series[series].voted.put(
+            number, result.value, result.status, self.replay_cache_rounds
+        )
         return _round_payload(number, result.value, result.status)
 
     def _op_vote(self, request) -> Dict[str, Any]:
@@ -501,7 +510,7 @@ class ShardServer(VoterServer):
     def _op_vote_batch(self, request) -> Dict[str, Any]:
         # Two passes: assemble and validate every matrix first so a
         # malformed later batch cannot leave earlier ones half-applied.
-        prepared: List[Tuple[Dict[str, Any], np.ndarray, List[str], List[int]]] = []
+        prepared: List[Tuple[str, np.ndarray, List[str], List[int]]] = []
         for batch in request["batches"]:
             series = batch["series"]
             try:
@@ -516,16 +525,17 @@ class ShardServer(VoterServer):
                     f"batch for series {series!r} contains non-finite values",
                     code=ErrorCode.INVALID_VALUE,
                 )
-            modules = [str(m) for m in batch["modules"]]
             rounds = list(batch["rounds"])
-            for number in rounds:
-                if self._already_voted(series, number):
-                    raise ProtocolError(
-                        f"round {number} for series {series!r} was "
-                        "already voted",
-                        code=ErrorCode.ALREADY_VOTED,
-                    )
-            prepared.append((batch, matrix, modules, rounds))
+            watermark = self._series_watermark.get(series)
+            if watermark is not None:
+                row = self._series.get(series)
+                for number in rounds:
+                    if number <= watermark and (
+                        row is None or number not in row.voted
+                    ):
+                        raise _already_voted(series, number)
+            modules = [str(m) for m in batch["modules"]]
+            prepared.append((series, matrix, modules, rounds))
 
         # Request-local answers per series: replay-cache hits as of the
         # request's start (the shared cache is bounded and may evict
@@ -535,12 +545,12 @@ class ShardServer(VoterServer):
         # rounds refused, never applied twice.
         answered: Dict[str, Dict[int, Dict[str, Any]]] = {}
         marks: Dict[str, int] = {}
-        for batch, _, _, rounds in prepared:
-            series = batch["series"]
+        for series, _, _, rounds in prepared:
+            row = self._series.get(series)
             known = answered.setdefault(series, {})
             fresh = []
             for number in rounds:
-                cached = self._replay(series, number)
+                cached = row.voted.payload(number) if row is not None else None
                 if cached is not None:
                     known[number] = cached
                 else:
@@ -550,12 +560,6 @@ class ShardServer(VoterServer):
                 marks[series] = max(top, marks.get(series, top))
         if marks:
             self._record_watermark(marks)
-        # Every new series of the request with one index write, before
-        # any commit (as a lone ``vote`` registers its series).
-        new = {batch["series"] for batch, _, _, _ in prepared}
-        new -= self._known_series
-        if new:
-            self._record_series(*new)
 
         # Consecutive batches with one module list fuse in one kernel
         # call.  A series seen again starts a new stack, so its second
@@ -566,8 +570,7 @@ class ShardServer(VoterServer):
         stack: List[Tuple[str, np.ndarray, List[int]]] = []
         stacked: Set[str] = set()
         stack_modules: List[str] = []
-        for batch, matrix, modules, rounds in prepared:
-            series = batch["series"]
+        for series, matrix, modules, rounds in prepared:
             if stack and (
                 modules != stack_modules
                 or series in stacked
@@ -593,10 +596,10 @@ class ShardServer(VoterServer):
         return ok_response(
             results=[
                 {
-                    "series": batch["series"],
-                    "results": [answered[batch["series"]][n] for n in rounds],
+                    "series": series,
+                    "results": [answered[series][n] for n in rounds],
                 }
-                for batch, _, _, rounds in prepared
+                for series, _, _, rounds in prepared
             ]
         )
 
@@ -621,31 +624,29 @@ class ShardServer(VoterServer):
             if self._tiered is not None
             else nullcontext()
         )
-        try:
-            with scope:
-                outcome = engines[0].process_batch(
-                    matrix,
-                    modules,
-                    segments=[
-                        (engine, len(numbers))
-                        for engine, (_, _, numbers) in zip(engines, stack)
-                    ],
-                )
-        finally:
-            for (series, _, _), engine in zip(stack, engines):
-                self._series_last[series] = engine.last_accepted
+        with scope:
+            outcome = engines[0].process_batch(
+                matrix,
+                modules,
+                segments=[
+                    (engine, len(numbers))
+                    for engine, (_, _, numbers) in zip(engines, stack)
+                ],
+            )
         values = outcome.values.tolist()
         statuses = outcome.statuses.tolist()
+        bound = self.replay_cache_rounds
         row = 0
         for series, _, numbers in stack:
             known = answered[series]
+            window = self._series[series].voted
             for number in numbers:
                 value, status = values[row], statuses[row]
                 row += 1
                 if math.isnan(value):
                     value = None
                 known[number] = _round_payload(number, value, status)
-                self._cache_result(series, number, value, status)
+                window.put(number, value, status, bound)
 
     # -- incremental submission, per series --------------------------------
 
@@ -654,18 +655,14 @@ class ShardServer(VoterServer):
         if series is None:
             return super()._op_submit(request)
         number = request["round"]
-        if number in self._series_voted.get(series, ()) or self._already_voted(
-            series, number
-        ):
-            raise ProtocolError(
-                f"round {number} was already voted",
-                code=ErrorCode.ALREADY_VOTED,
-            )
+        watermark = self._series_watermark.get(series)
+        if watermark is not None and number <= watermark:
+            raise _already_voted(series, number)
         value = _numeric(request["module"], request["value"])
-        pending = self._series_pending.setdefault(series, {})
+        roster = self._engine_for(series).roster
+        pending = self._series[series].pending
         bucket = pending.setdefault(number, {})
         bucket[request["module"]] = value
-        roster = self._engine_for(series).roster
         complete = bool(roster) and set(bucket) >= set(roster)
         if complete:
             payload = self._series_vote(series, number, pending.pop(number))
@@ -677,7 +674,8 @@ class ShardServer(VoterServer):
         if series is None:
             return super()._op_close_round(request)
         number = request["round"]
-        bucket = self._series_pending.get(series, {}).pop(number, None)
+        row = self._series.get(series)
+        bucket = row.pending.pop(number, None) if row is not None else None
         if bucket is None:
             raise ProtocolError(f"no pending submissions for round {number}")
         return ok_response(result=self._series_vote(series, number, bucket))
@@ -701,7 +699,8 @@ class ShardServer(VoterServer):
         series = request.get("series")
         if series is None:
             response = super()._op_stats(request)
-            response["series"] = list(self.series_hosted)
+            hosted = self.series_hosted
+            response["series"] = list(hosted)
             # Round counters are per-process; a known-but-not-resident
             # series reports 0, exactly as it would after a restart.
             response["series_rounds"] = {
@@ -710,7 +709,7 @@ class ShardServer(VoterServer):
                     if s in self._engines
                     else 0
                 )
-                for s in self.series_hosted
+                for s in hosted
             }
             response["resident_series"] = len(self._engines)
             return response
@@ -718,19 +717,17 @@ class ShardServer(VoterServer):
         return ok_response(series=series, **engine.statistics())
 
     def _forget_all_series(self) -> None:
-        """Drop every hosted series: engines, stored state, index and logs."""
+        """Drop every hosted series: engines, rows, stored state and log."""
         if self._tiered is not None:
             self._tiered.clear()
         self._engines.clear()
-        self._known_series.clear()
-        self._series_pending.clear()
-        self._series_voted.clear()
+        self._series.clear()
+        self._rosters.clear()
         self._series_watermark.clear()
-        self._series_last.clear()
         self._watermark_appends = 0
-        for path in (self._series_index_path(), self._watermark_path()):
-            if path is not None and path.exists():
-                path.unlink()
+        path = self._watermark_path()
+        if path is not None and path.exists():
+            path.unlink()
 
     def _op_reset(self, request) -> Dict[str, Any]:
         series = request.get("series")
@@ -738,15 +735,11 @@ class ShardServer(VoterServer):
             self._forget_all_series()
             return super()._op_reset(request)
         self._engines.pop(series, None)
+        self._series.pop(series, None)
         if self._tiered is not None:
             self._tiered.delete(series)
-        self._known_series.discard(series)
-        self._series_pending.pop(series, None)
-        self._series_voted.pop(series, None)
-        self._series_last.pop(series, None)
         if self._series_watermark.pop(series, None) is not None:
             self._write_watermarks()
-        self._write_series_index()
         return ok_response(reset=True, series=series)
 
     def _op_configure(self, request) -> Dict[str, Any]:
@@ -758,6 +751,12 @@ class ShardServer(VoterServer):
 
     def _op_sync_history(self, request) -> Dict[str, Any]:
         series = request["series"]
+        # Refused before any series state is touched: a refused seed
+        # leaves no row, engine or watermark behind.
+        if getattr(self.engine.voter, "history", None) is None:
+            raise ProtocolError(
+                f"series {series!r} voter keeps no history records"
+            )
         watermark = request.get("watermark")
         if watermark is not None:
             current = self._series_watermark.get(series)
@@ -765,12 +764,7 @@ class ShardServer(VoterServer):
                 # The seed was snapshotted before rounds this shard has
                 # since voted — applying it would rewind history.
                 return ok_response(synced=0, series=series, ignored=True)
-        engine = self._engine_for(series)
-        history = getattr(engine.voter, "history", None)
-        if history is None:
-            raise ProtocolError(
-                f"series {series!r} voter keeps no history records"
-            )
+        history = self._engine_for(series).voter.history
         records = {str(m): float(v) for m, v in request["records"].items()}
         updates = request.get("updates")
         if updates is not None:

@@ -177,7 +177,7 @@ class FusionEngine:
             return self._degraded(
                 voting_round, policy.on_missing_majority, "no values present"
             )
-        if not outcome.quorum_reached or outcome.value is None:
+        if outcome.value is None:
             return self._degraded(voting_round, policy.on_quorum_failure, "quorum")
         self.last_accepted = outcome.value
         return FusionResult(

@@ -551,6 +551,7 @@ class AsyncIngestServer:
                 self._settle(vote, ok_response(result=entry))
 
     async def _flush_singly(self, pending: List[_PendingVote]) -> None:
+        self.obs.single_retries.inc(len(pending))
         for vote in pending:
             try:
                 response = await self._dispatch(vote.request)

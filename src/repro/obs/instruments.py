@@ -240,6 +240,7 @@ class IngestInstruments:
         "backpressure_drops",
         "slow_consumer_disconnects",
         "coalesced_rounds",
+        "single_retries",
         "frames_v2_json",
         "frames_v3_binary",
     )
@@ -268,6 +269,11 @@ class IngestInstruments:
             "ingest_coalesced_rounds",
             "Rounds per coalesced vote_batch flush to the fusion sink.",
             buckets=(1, 2, 4, 8, 16, 32, 64, 128, 256, float("inf")),
+        )
+        self.single_retries = registry.counter(
+            "ingest_single_retries_total",
+            "Votes re-sent one at a time after their coalesced "
+            "vote_batch failed.",
         )
         frames = registry.counter(
             "ingest_frames_total",

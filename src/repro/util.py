@@ -2,10 +2,10 @@
 
 Currently: atomic file replacement.  Several subsystems rewrite small
 state files in place — the ``BENCH_*.json`` baselines, the cluster's
-``series-index.json`` and voted-watermark logs, history-log
-compactions.  A plain ``write_text`` can be interrupted mid-write
-(SIGKILL, job timeout, power loss), leaving a truncated file that the
-next reader consumes as corrupt state.  Writing to a sibling temp file
+voted-watermark logs, history-log compactions.  A plain
+``write_text`` can be interrupted mid-write (SIGKILL, job timeout,
+power loss), leaving a truncated file that the next reader consumes as
+corrupt state.  Writing to a sibling temp file
 and ``os.replace``-ing it over the target makes every such update
 all-or-nothing: readers only ever see the old complete file or the new
 complete file.

@@ -196,7 +196,7 @@ class TestReplayCacheBounds:
                 rows = rows_for(20)
                 c.vote_batch([{"series": "s", "rounds": list(range(20)),
                                "modules": MODULES, "rows": rows}])
-                assert len(server._series_voted["s"]) == 5
+                assert len(server._series["s"].voted) == 5
                 # Recent rounds still replay from the cache...
                 replay = c.vote(19, dict(zip(MODULES, rows[19])), series="s")
                 assert replay["round"] == 19
@@ -521,17 +521,11 @@ class TestTieredResidency:
         assert history["updates"] == reference.voter.history.update_count
 
 
-class TestSeriesIndex:
-    def test_one_index_write_per_request(self, tmp_path, monkeypatch):
-        writes = []
-        atomic_write = backend_mod.atomic_write
+class TestKnownSeries:
+    """Which series a shard hosts comes from durable state only: the
+    voted-rounds log and the history store, never a series index."""
 
-        def counting(path, text):
-            if path.name == "series-index.json":
-                writes.append(json.loads(text))
-            atomic_write(path, text)
-
-        monkeypatch.setattr(backend_mod, "atomic_write", counting)
+    def test_restart_hosts_every_voted_or_stored_series(self, tmp_path):
         names = [f"new-{k:02d}" for k in range(64)]
         rows = rows_for(1)
         server = ShardServer(AVOC_SPEC, history_dir=tmp_path)
@@ -540,118 +534,159 @@ class TestSeriesIndex:
                 {"series": name, "rounds": [0], "modules": MODULES,
                  "rows": rows} for name in names
             ]})
-            assert writes == [names]
-            # Known series register nothing more.
-            server.dispatch({"op": "vote_batch", "batches": [
-                {"series": name, "rounds": [1], "modules": MODULES,
-                 "rows": rows} for name in names[:8]
-            ]})
-            assert len(writes) == 1
+            # A seed without a watermark lands in the store.
+            server.dispatch({"op": "sync_history", "series": "seeded",
+                             "records": {"E1": 0.5}})
+            # Submitted, never voted: its pending rounds are memory-only.
+            server.dispatch({"op": "submit", "series": "pending-only",
+                             "round": 0, "module": "E1", "value": 18.0})
+            assert "pending-only" in server.series_hosted
         finally:
             server.stop()
+        assert not (tmp_path / "series-index.json").exists()
         reborn = ShardServer(AVOC_SPEC, history_dir=tmp_path)
         try:
-            assert reborn.series_hosted == tuple(names)
+            assert reborn.series_hosted == tuple(sorted(names + ["seeded"]))
             reborn.dispatch({"op": "reset", "series": names[5]})
-            assert writes[-1] == names[:5] + names[6:]
         finally:
             reborn.stop()
         reloaded = ShardServer(AVOC_SPEC, history_dir=tmp_path)
         try:
             assert names[5] not in reloaded.series_hosted
-            assert len(reloaded.series_hosted) == 63
+            assert len(reloaded.series_hosted) == 64
         finally:
             reloaded.stop()
+        assert not (tmp_path / "series-index.json").exists()
+
+    def test_reset_drops_the_whole_row(self):
+        server = ShardServer(AVOC_SPEC, store="memory")
+        try:
+            first = vote_on(server, "vote", "s", 0, MODULES, [18.0, 18.1, 17.9])
+            server.dispatch({"op": "submit", "series": "s", "round": 1,
+                             "module": "E1", "value": 18.0})
+            server.dispatch({"op": "reset", "series": "s"})
+            assert "s" not in server.series_hosted
+            with pytest.raises(ProtocolError, match="no pending"):
+                server.dispatch({"op": "close_round", "series": "s",
+                                 "round": 1})
+            # Voted afresh, not replayed from a cache that outlived it.
+            again = vote_on(server, "vote", "s", 0, MODULES, [20.0, 20.1, 19.9])
+            assert again["value"] != first["value"]
+        finally:
+            server.stop()
+
+    def test_refused_seed_leaves_no_series(self, tmp_path):
+        spec = all_example_specs()["Incoherence"]
+        server = ShardServer(spec, history_dir=tmp_path)
+        try:
+            with pytest.raises(ProtocolError, match="keeps no history"):
+                server.dispatch({"op": "sync_history", "series": "ghost",
+                                 "records": {"E1": 1.0}, "watermark": 4})
+            assert "ghost" not in server.series_hosted
+        finally:
+            server.stop()
+        reborn = ShardServer(spec, history_dir=tmp_path)
+        try:
+            assert "ghost" not in reborn.series_hosted
+        finally:
+            reborn.stop()
 
 
-def _engine_state(engine):
-    """Everything an engine carries between rounds, voter state included."""
-    voter = engine.voter
-    state = {k: v for k, v in vars(voter).items() if k != "history"}
-    if hasattr(voter, "bootstraps_used"):
-        state["_bootstraps_used"] = voter.bootstraps_used
-    history = getattr(voter, "history", None)
-    if history is not None:
-        state["history"] = {
-            "records": history.snapshot(),
-            "updates": history.update_count,
-            "slots": dict(history._index),
-            "slot_cache": list(history._slot_cache),
-            "store": getattr(history.store, "series", history.store),
-            "policy": (history.policy, history.reward, history.penalty,
-                       history.learning_rate, history.initial),
-        }
+def _series_state(server, series):
+    """What a series carries between rounds: stored history, roster,
+    last accepted value and any other voter state (round counters
+    aside, which are per process)."""
+    history = server.dispatch({"op": "history", "series": series})
+    engine = server._engine_for(series)
+    voter = vars(engine.voter)
     return {
-        "voter": (type(voter), state),
+        "records": history["records"],
+        "updates": history["updates"],
         "roster": list(engine.roster),
         "last_accepted": engine.last_accepted,
-        "counters": (engine.rounds_processed, engine.rounds_degraded),
-        "policy": (engine.quorum.mode, engine.quorum.percentage,
-                   engine.exclusion, engine.exclusion_threshold,
-                   vars(engine.fault_policy)),
+        "voter": {
+            key: value for key, value in voter.items()
+            if key not in ("history", "_rounds_voted", "_bootstraps_used")
+        },
     }
 
 
-class TestEngineRecycling:
-    """A shard at its residency bound rebinds its least-recently-used
-    engine; the result must equal an engine freshly built over the
-    series' store view, for every voter ``build_voter`` produces."""
+class TestBoundedShard:
+    """A shard that holds one engine for two interleaved series must
+    answer and end up exactly as an unbounded shard does, for every
+    voter ``build_voter`` produces: eviction parks in the series row
+    what the store cannot hold."""
 
     MODULES = ["E1", "E2", "E3", "E4", "E5"]
+    ROUNDS = 40
 
     def rows(self, spec, offset, n, seed):
         rng = np.random.default_rng(seed)
         if spec.is_categorical:
+            # Contested rounds, so history weights and the previous
+            # output break ties.
             base = np.ones((n, 5))
             base[:, 3] = 2.0  # E4 disagrees
-            base[rng.random(n) < 0.3, 0] = 3.0
+            base[rng.random(n) < 0.4, 1] = 2.0
+            base[rng.random(n) < 0.5, 0] = 3.0
+            base[rng.random(n) < 0.2, 4] = 2.0
             return base.tolist()
         matrix = 18.0 + rng.normal(0.0, 0.05, size=(n, 5))
         matrix[:, 3] += offset  # the E4 offset fault
         return matrix.tolist()
 
+    def run(self, tmp_path, spec, op, schedule):
+        """``schedule``: ``(series, round, modules, row)`` in order.
+        Returns answers and final states per series, per bound."""
+        runs = {}
+        for bound in (1, None):
+            server = ShardServer(spec, history_dir=tmp_path / str(bound),
+                                 store="packed", max_resident_series=bound)
+            answers = {}
+            try:
+                for series, number, modules, row in schedule:
+                    answers.setdefault(series, []).append(
+                        vote_on(server, op, series, number, modules, row)
+                    )
+                if bound == 1:
+                    assert len(server.resident_series) == 1
+                    assert server.tiered_store.hot_size <= 1
+                states = {key: _series_state(server, key) for key in answers}
+            finally:
+                server.stop()
+            runs[bound] = (answers, states)
+        return runs
+
+    @pytest.mark.parametrize("op", ["vote", "vote_batch"])
     @pytest.mark.parametrize("name", sorted(all_example_specs()))
-    def test_recycled_engine_equals_a_fresh_one(
-        self, tmp_path, monkeypatch, name
-    ):
+    def test_bound_one_equals_unbounded(self, tmp_path, name, op):
         spec = all_example_specs()[name]
-        built = []
-        build = backend_mod.build_engine
+        rows = {"a": self.rows(spec, 6.0, self.ROUNDS, seed=2),
+                "b": self.rows(spec, 0.0, self.ROUNDS, seed=1)}
+        schedule = [(key, number, self.MODULES, rows[key][number])
+                    for number in range(self.ROUNDS) for key in ("a", "b")]
+        runs = self.run(tmp_path, spec, op, schedule)
+        assert runs[1] == runs[None]
 
-        def counting_build(*args, **kwargs):
-            built.append(args)
-            return build(*args, **kwargs)
+    @pytest.mark.parametrize("op", ["vote", "vote_batch"])
+    def test_shrinking_module_set_keeps_the_roster(self, tmp_path, op):
+        """Six modules report, then only four: the roster still counts
+        six, so the UNTIL-100 quorum skips the four-module rounds."""
+        six = [f"E{k}" for k in range(1, 7)]
+        rng = np.random.default_rng(9)
+        schedule = []
+        for number in range(15):
+            modules = six if number < 3 else six[:4]
+            for key in ("a", "b"):
+                row = (18.0 + rng.normal(0.0, 0.05, len(modules))).tolist()
+                schedule.append((key, number, modules, row))
+        runs = self.run(tmp_path, AVOC_SPEC, op, schedule)
+        answers, states = runs[None]
+        assert {a["status"] for a in answers["a"][3:]} == {"skipped"}
+        assert states["a"]["roster"] == six
+        assert runs[1] == runs[None]
 
-        monkeypatch.setattr(backend_mod, "build_engine", counting_build)
-        b_rows = self.rows(spec, 0.0, 3, seed=1)
-        a_rows = self.rows(spec, 6.0, 5, seed=2)
-        server = ShardServer(spec, history_dir=tmp_path, store="packed",
-                             max_resident_series=1)
-        try:
-            for number, row in enumerate(b_rows):
-                vote_on(server, "vote", "b", number, self.MODULES, row)
-            engine = server._engines["b"]
-            server.dispatch({"op": "vote_batch", "batches": [
-                {"series": "a", "rounds": list(range(len(a_rows))),
-                 "modules": self.MODULES, "rows": a_rows}]})
-            assert server._engines["a"] is engine  # recycled, not built
-            rebound = server._engine_for("b")
-            assert rebound is engine
-            assert len(built) == 1
-            fresh = build(spec, history_store=server.tiered_store.store_for("b"),
-                          registry=server.registry)
-        finally:
-            server.stop()
-        direct = build(spec)
-        for number, row in enumerate(b_rows):
-            direct.process(Round.from_mapping(number,
-                                              dict(zip(self.MODULES, row))))
-        fresh.last_accepted = direct.last_accepted
-        assert _engine_state(rebound) == _engine_state(fresh)
-
-    def test_bound_one_shard_matches_fuse_and_an_unbounded_shard(
-        self, tmp_path
-    ):
+    def test_both_series_in_every_request_match_fuse(self, tmp_path):
         rows = {"a": self.rows(AVOC_SPEC, 6.0, 24, seed=3),
                 "b": self.rows(AVOC_SPEC, 0.0, 24, seed=4)}
         answers = {}
@@ -683,6 +718,80 @@ class TestEngineRecycling:
             assert [r["value"] for r in answers[1][key]] == want.values.tolist()
             assert answers[1][key] == answers[None][key]
             assert histories[1][key] == histories[None][key]
+
+    def test_a_bounded_shard_builds_each_engine_once(
+        self, tmp_path, monkeypatch
+    ):
+        built = []
+        build = backend_mod.build_engine
+
+        def counting_build(*args, **kwargs):
+            built.append(args)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(backend_mod, "build_engine", counting_build)
+        server = ShardServer(AVOC_SPEC, history_dir=tmp_path, store="packed",
+                             max_resident_series=1)
+        try:
+            rows = rows_for(4)
+            for number, row in enumerate(rows):
+                for key in ("a", "b"):
+                    vote_on(server, "vote", key, number, MODULES, row)
+            assert len(built) == 1
+        finally:
+            server.stop()
+
+    def test_rebound_engine_counts_rounds_afresh(self):
+        """Round counters are per engine binding, as after a restart,
+        and a rebound engine keeps the spec's shared configuration."""
+        for name in ("AVOC", "Incoherence"):
+            spec = all_example_specs()[name]
+            server = ShardServer(spec, store="memory", max_resident_series=1)
+            try:
+                rows = self.rows(spec, 6.0, 4, seed=6)
+                for number, row in enumerate(rows):
+                    vote_on(server, "vote", "a", number, self.MODULES, row)
+                # An all-missing round: degraded.
+                vote_on(server, "vote", "a", 4, self.MODULES, [None] * 5)
+                stats = server.dispatch({"op": "stats", "series": "a"})
+                assert (stats["rounds_processed"], stats["rounds_degraded"]) == (5, 1)
+                for number, row in enumerate(rows[:2]):
+                    vote_on(server, "vote", "b", number, self.MODULES, row)
+                stats = server.dispatch({"op": "stats", "series": "b"})
+                assert (stats["rounds_processed"], stats["rounds_degraded"]) == (2, 0)
+                stats = server.dispatch({"op": "stats", "series": "a"})
+                assert (stats["rounds_processed"], stats["rounds_degraded"]) == (0, 0)
+                # "b" got a fresh voter, "a" its parked one.
+                for key in ("b", "a"):
+                    engine = server._engine_for(key)
+                    assert engine.quorum is server.engine.quorum
+                    assert engine.fault_policy is server.engine.fault_policy
+                    assert engine.voter.params is server.engine.voter.params
+            finally:
+                server.stop()
+
+    def test_parked_state_survives_a_reset_below_the_bound(self, tmp_path):
+        """After a reset frees an engine, the shard builds instead of
+        recycling: the build path restores parked state too."""
+        spec = all_example_specs()["Incoherence"]
+        rows = self.rows(spec, 6.0, 12, seed=5)
+        reference = ShardServer(spec, store="memory", max_resident_series=None)
+        server = ShardServer(spec, store="memory", max_resident_series=1)
+        try:
+            for number, row in enumerate(rows[:6]):
+                vote_on(server, "vote", "a", number, self.MODULES, row)
+                vote_on(reference, "vote", "a", number, self.MODULES, row)
+            vote_on(server, "vote", "b", 0, self.MODULES, rows[0])  # evicts a
+            server.dispatch({"op": "reset", "series": "b"})
+            assert server.resident_series == ()
+            for number, row in enumerate(rows[6:], start=6):
+                assert vote_on(server, "vote", "a", number, self.MODULES,
+                               row) == vote_on(reference, "vote", "a", number,
+                                               self.MODULES, row)
+            assert _series_state(server, "a") == _series_state(reference, "a")
+        finally:
+            server.stop()
+            reference.stop()
 
 
 def vote_on(server, op, series, number, modules, row):
@@ -753,6 +862,10 @@ class TestStackedVoteBatch:
                 for b, result in zip(request, response["results"]):
                     assert result["series"] == b["series"]
                     answers[b["series"]].append(result["results"][0])
+                # One residency bound: the hot set is the resident engines.
+                assert server.tiered_store.hot_size <= len(
+                    server.resident_series
+                )
             assert server.tiered_store.evictions > 0
             histories = {
                 name: server.dispatch({"op": "history", "series": name})
@@ -964,6 +1077,34 @@ class TestMigrate:
                     assert got["watermark"] == len(rows) - 1
         finally:
             server.stop()
+
+    @pytest.mark.parametrize("reset", ["all", "each", "configure"])
+    def test_reset_after_migration_stays_empty(self, tmp_path, reset):
+        """A migrated directory's first start drops the old index, so a
+        store that a reset empties later is not taken for an unmigrated
+        one, and a rerun of the migration cannot bring the history back."""
+        write_legacy_shard_dir(tmp_path, ["a", "b"], rows_for(4))
+        assert cli_main(["store", "migrate", str(tmp_path)]) == 0
+        server = ShardServer(AVOC_SPEC, history_dir=tmp_path)
+        try:
+            assert not (tmp_path / "series-index.json").exists()
+            if reset == "all":
+                server.dispatch({"op": "reset"})
+            elif reset == "each":
+                for key in ("a", "b"):
+                    server.dispatch({"op": "reset", "series": key})
+            else:
+                server.dispatch({"op": "configure",
+                                 "spec": AVOC_SPEC.to_dict()})
+            assert server.series_hosted == ()
+        finally:
+            server.stop()
+        assert cli_main(["store", "migrate", str(tmp_path)]) != 0
+        reborn = ShardServer(AVOC_SPEC, history_dir=tmp_path)
+        try:
+            assert reborn.series_hosted == ()
+        finally:
+            reborn.stop()
 
 
 class TestManagedBackendThread:

@@ -20,6 +20,7 @@ from repro.service.protocol import (
     FRAME_HEADER,
     FRAME_MAGIC,
     ErrorCode,
+    ProtocolError,
     decode_frame_header,
     decode_frame_payload,
     decode_message,
@@ -176,6 +177,21 @@ class TestCoalescing:
         assert sink.dispatch({"op": "stats", "series": "p"})[
             "rounds_processed"
         ] == 2
+
+
+    def test_failed_batch_retries_are_counted(self):
+        class FailingBatchShard(ShardServer):
+            def _op_vote_batch(self, request):
+                raise ProtocolError("batch refused")
+
+        sink = FailingBatchShard(AVOC_SPEC)
+        registry = MetricsRegistry()
+        with AsyncIngestServer(sink, registry=registry) as ingest:
+            with connect(ingest.address) as client:
+                result = client.vote(0, FAULTY, series="p")
+        # The vote still lands, one at a time, and the fallback shows.
+        assert result["status"] == "ok"
+        assert "ingest_single_retries_total 1" in registry.render()
 
 
 class TestBackpressure:

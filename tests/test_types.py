@@ -84,7 +84,6 @@ class TestRound:
 class TestVoteOutcome:
     def test_defaults(self):
         o = VoteOutcome(round_number=0, value=1.0)
-        assert o.quorum_reached
         assert not o.used_bootstrap
         assert o.eliminated == ()
 
