@@ -23,9 +23,11 @@ the caller.
 from __future__ import annotations
 
 import json
+import marshal
 import queue
 import threading
 import time
+from collections import deque
 from contextlib import contextmanager
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -47,6 +49,41 @@ from .ring import HashRing
 __all__ = ["ClusterGateway"]
 
 _STOP = object()
+
+#: Disagreeing rounds the gateway remembers for ``cluster_stats``.
+DISAGREEMENT_LOG_SIZE = 64
+
+
+def _plurality(answers: List[Tuple[str, Any]]) -> Tuple[Any, bool]:
+    """The most common payload among replica answers, and whether they
+    differ at all.  Payloads group by their canonical JSON; ties go to
+    replica order."""
+    counts: Dict[str, List[Any]] = {}
+    for _, payload in answers:
+        key = json.dumps(payload, sort_keys=True, default=str)
+        counts.setdefault(key, [0, payload])[0] += 1
+    best_count = -1
+    best_payload = None
+    for count, payload in counts.values():
+        if count > best_count:
+            best_count, best_payload = count, payload
+    return best_payload, len(counts) > 1
+
+
+def _image(payload: Any) -> Optional[bytes]:
+    """A type-exact byte image of a decoded payload (None: not imageable).
+
+    ``marshal`` format 2 writes no back-references and tags ints, floats
+    and bools apart, with floats as their IEEE bytes, so equal images
+    mean equal canonical JSON.  ``==`` is looser: it calls ``-0.0`` and
+    ``0.0``, or ``1`` and ``1.0``, equal.  Unequal images may still be
+    equal JSON (dict keys in another order, say); :func:`_plurality`
+    settles those.
+    """
+    try:
+        return marshal.dumps(payload, 2)
+    except ValueError:
+        return None
 
 
 class _Job:
@@ -231,6 +268,11 @@ class ClusterGateway(ServerCore):
         self._lock = threading.Lock()
         self._failure_callback: Optional[Callable[[str], None]] = None
         self.requests_served = 0
+        #: The latest disagreeing rounds: series, round and every
+        #: answering backend's payload, oldest first.
+        self._disagreements: "deque[Dict[str, Any]]" = deque(
+            maxlen=DISAGREEMENT_LOG_SIZE
+        )
         self._obs.backends_alive.set_function(
             lambda: float(sum(1 for link in self._links.values() if link.alive))
         )
@@ -483,18 +525,46 @@ class ClusterGateway(ServerCore):
 
     def _majority(self, answers: List[Tuple[str, Any]]) -> Any:
         """Majority value among replica answers (ties: replica order)."""
-        counts: Dict[str, List[Any]] = {}
-        for _, payload in answers:
-            key = json.dumps(payload, sort_keys=True, default=str)
-            counts.setdefault(key, [0, payload])[0] += 1
-        if len(counts) > 1:
+        payload, disagreed = _plurality(answers)
+        if disagreed:
             self._obs.replica_disagreements.inc()
-        best_count = -1
-        best_payload = None
-        for count, payload in counts.values():
-            if count > best_count:
-                best_count, best_payload = count, payload
-        return best_payload
+        return payload
+
+    def _merge_rounds(
+        self,
+        series: str,
+        rounds: Sequence[int],
+        answers: List[Tuple[str, List[Any]]],
+    ) -> List[Any]:
+        """One batch's round answers, merged over its replicas.
+
+        ``answers`` holds each answering replica's list of round answers,
+        primary first.  Healthy replicas agree bit for bit, so one
+        comparison settles the batch: when every list has the primary's
+        :func:`_image`, the primary's list is the answer.  Otherwise each
+        round is merged as :meth:`_majority` merges a reply, and each
+        disagreeing round is counted and logged.
+        """
+        primary = answers[0][1]
+        if len(primary) == len(rounds):
+            if len(answers) == 1:
+                return primary
+            image = _image(primary)
+            if image is not None and all(
+                _image(rows) == image for _, rows in answers[1:]
+            ):
+                return primary
+        merged = []
+        for k, number in enumerate(rounds):
+            replies = [(bid, rows[k]) for bid, rows in answers]
+            payload, disagreed = _plurality(replies)
+            if disagreed:
+                self._obs.replica_disagreements.inc()
+                self._disagreements.append(
+                    {"series": series, "round": number, "answers": dict(replies)}
+                )
+            merged.append(payload)
+        return merged
 
     def _forward_first(self, series: str, request: Dict[str, Any]) -> Dict[str, Any]:
         """Send a read to the first eligible replica that answers
@@ -645,6 +715,7 @@ class ClusterGateway(ServerCore):
             backends_by_status=by_status,
             series_routed=series_count,
             requests_served=self.requests_served,
+            recent_disagreements=list(self._disagreements),
         )
 
     # -- routed operations ---------------------------------------------------
@@ -660,12 +731,12 @@ class ClusterGateway(ServerCore):
             "rows": [list(values.values())],
         }
         answers = self._fan_out(series, {"op": "vote_batch", "batches": [batch]})
-        return ok_response(
-            result=self._majority(
-                [(bid, r["results"][0]["results"][0]) for bid, r in answers]
-            ),
-            replicas_answered=len(answers),
+        merged = self._merge_rounds(
+            series,
+            batch["rounds"],
+            [(bid, r["results"][0]["results"]) for bid, r in answers],
         )
+        return ok_response(result=merged[0], replicas_answered=len(answers))
 
     def _op_vote_batch(self, request) -> Dict[str, Any]:
         batches = request["batches"]
@@ -716,11 +787,7 @@ class ClusterGateway(ServerCore):
                 for bid in replica_map[index]
                 if bid in answers_by_backend
             ]
-            merged = []
-            for k in range(len(batch["rounds"])):
-                merged.append(
-                    self._majority([(bid, rows[k]) for bid, rows in ordered])
-                )
+            merged = self._merge_rounds(batch["series"], batch["rounds"], ordered)
             results.append({"series": batch["series"], "results": merged})
         return ok_response(results=results)
 

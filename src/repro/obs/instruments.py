@@ -205,7 +205,8 @@ class ClusterInstruments:
         )
         self.replica_disagreements = registry.counter(
             "cluster_replica_disagreements_total",
-            "Rounds where the replica set answered with conflicting results.",
+            "Rounds (vote, vote_batch) or replies (other ops) where the "
+            "replica set answered with conflicting results.",
         )
         self.failover_seconds = registry.histogram(
             "cluster_failover_seconds",

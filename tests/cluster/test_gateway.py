@@ -354,3 +354,310 @@ class TestShardErrors:
                 for info in stats["backends"].values():
                     assert info["status"] == "alive"
                     assert info["failures"] == 0
+
+
+# -- replica merge: differential against the per-round majority --------------
+
+
+class _PreparedLink:
+    """A backend link that answers ``vote_batch`` from prepared payloads.
+
+    ``answers`` maps series to that backend's list of round answers; a
+    batch of n rounds gets the first n.  A ``failure`` exception instead
+    fails every job (a dead or erroring shard).  Jobs finish
+    synchronously on ``enqueue``.
+    """
+
+    fenced = False
+    alive = True
+
+    def __init__(self, answers, failure=None):
+        self.answers = answers
+        self.failure = failure
+
+    def enqueue(self, job):
+        if self.failure is not None:
+            job.fail(self.failure)
+            return
+        job.finish({"ok": True, "results": [
+            {"series": b["series"],
+             "results": self.answers[b["series"]][:len(b["rounds"])]}
+            for b in job.payload["batches"]
+        ]})
+
+    def stop(self):
+        pass
+
+
+def _reference_merge(ring, batches, links):
+    """The gateway's merge as a per-round canonical-JSON majority.
+
+    Returns (merged answers per batch, disagreeing rounds); raises
+    LookupError at the first batch no replica answered.
+    """
+    import json
+
+    merged, disagreements = [], 0
+    for batch in batches:
+        series = batch["series"]
+        ordered = [
+            (bid, links[bid].answers[series])
+            for bid in ring.replica_set(series)
+            if links[bid].failure is None
+        ]
+        if not ordered:
+            raise LookupError(series)
+        rows = []
+        for k in range(len(batch["rounds"])):
+            counts = {}
+            for _, answers in ordered:
+                payload = answers[k]
+                key = json.dumps(payload, sort_keys=True, default=str)
+                counts.setdefault(key, [0, payload])[0] += 1
+            if len(counts) > 1:
+                disagreements += 1
+            best_count, best = -1, None
+            for count, payload in counts.values():
+                if count > best_count:
+                    best_count, best = count, payload
+            rows.append(best)
+        merged.append(rows)
+    return merged, disagreements
+
+
+def _flip(value):
+    """The alternative answer value: a twin that ``==`` may call equal
+    (``-0.0`` for ``0.0``, ``1`` for ``1.0``), or a value for ``None``."""
+    if value is None:
+        return 18.25
+    if type(value) is int:
+        return float(value)
+    if value == 0.0:
+        return -value
+    if value == 1.0:
+        return 1
+    return None
+
+
+def _answer_sets(rng, n_backends):
+    """Seeded replica answers for a few series, with planted divergence.
+
+    Every round has one alternative answer, so replicas that diverge on
+    a round can agree with each other (a majority that differs from the
+    primary) as well as stand alone.  Values include ``-0.0`` against
+    ``0.0``, ``1`` against ``1.0`` and ``None`` against a value.
+    """
+    def value():
+        return rng.choice(
+            [rng.uniform(-20.0, 20.0), 0.0, -0.0, None, 1.0, 1, 18.25]
+        )
+
+    batches, base, alternative = [], {}, {}
+    for index in range(rng.randint(1, 4)):
+        series = f"s{rng.randint(0, 9)}-{index}"
+        start = rng.choice([0, 0, 7, 40])
+        rounds = list(range(start, start + rng.randint(1, 6)))
+        batches.append({"series": series, "rounds": rounds,
+                        "modules": ["E1"], "rows": [[1.0]] * len(rounds)})
+        base[series] = []
+        alternative[series] = []
+        for number in rounds:
+            v = value()
+            status = rng.choice(["ok", "ok", "held", "skipped"])
+            base[series].append({"round": number, "value": v, "status": status})
+            if rng.random() < 0.3:
+                alt = {"round": number, "value": v,
+                       "status": "skipped" if status == "ok" else "ok"}
+            else:
+                alt = {"round": number, "value": _flip(v), "status": status}
+            alternative[series].append(alt)
+    backend_ids = [f"b{i}" for i in range(n_backends)]
+    diverge = rng.choice([0.0, 0.0, 0.2, 0.6])
+    links = {}
+    for bid in backend_ids:
+        failure = None
+        roll = rng.random()
+        if roll < 0.1:
+            failure = ServiceError("shard refused", code="internal")
+        elif roll < 0.2:
+            failure = ConnectionError("shard gone")
+        answers = {}
+        for series, rows in base.items():
+            # Fresh dicts: replicas answer with equal, not shared, objects.
+            answers[series] = [
+                dict(alternative[series][k] if rng.random() < diverge else row)
+                for k, row in enumerate(rows)
+            ]
+        links[bid] = _PreparedLink(answers, failure)
+    return batches, links
+
+
+def _prepared_gateway(links, replicas):
+    from repro.cluster.gateway import ClusterGateway
+    from repro.cluster.ring import HashRing
+    from repro.obs import MetricsRegistry
+
+    ring = HashRing(replicas=replicas)
+    for bid in links:
+        ring.add_node(bid)
+    gateway = ClusterGateway(AVOC_SPEC, ring, registry=MetricsRegistry())
+    gateway._links = dict(links)
+    return gateway
+
+
+_TOPOLOGIES = [(1, 1), (2, 2), (3, 3), (2, 3), (1, 2), (3, 4)]
+
+
+class TestReplicaMerge:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_merge_decides_as_the_per_round_majority(self, seed):
+        import random
+
+        from repro.exceptions import ReproError
+
+        rng = random.Random(seed)
+        replicas, n_backends = _TOPOLOGIES[seed % len(_TOPOLOGIES)]
+        for _ in range(5):
+            batches, links = _answer_sets(rng, n_backends)
+            gateway = _prepared_gateway(links, replicas)
+            try:
+                counter = gateway._obs.replica_disagreements
+                try:
+                    want, want_disagreements = _reference_merge(
+                        gateway.ring, batches, links
+                    )
+                except LookupError:
+                    with pytest.raises(ReproError):
+                        gateway.dispatch({"op": "vote_batch", "batches": batches})
+                    continue
+                got = gateway.dispatch({"op": "vote_batch", "batches": batches})
+                assert [r["series"] for r in got["results"]] == [
+                    b["series"] for b in batches
+                ]
+                # repr tells -0.0 from 0.0, 1 from 1.0 and True from 1.
+                assert repr([r["results"] for r in got["results"]]) == repr(want)
+                assert counter.value == want_disagreements
+
+                # A single vote merges its one round the same way.
+                batch = batches[0]
+                single = [dict(batch, rounds=batch["rounds"][:1])]
+                want, want_disagreements = _reference_merge(
+                    gateway.ring, single, links
+                )
+                before = counter.value
+                got = gateway.dispatch({
+                    "op": "vote", "series": batch["series"],
+                    "round": batch["rounds"][0], "values": {"E1": 1.0},
+                })
+                assert repr(got["result"]) == repr(want[0][0])
+                assert counter.value - before == want_disagreements
+            finally:
+                gateway.stop()
+
+    def test_agreeing_replicas_build_no_per_round_key(self, monkeypatch):
+        import json
+
+        from repro.cluster import gateway as gateway_module
+
+        calls = []
+
+        class CountingJson:
+            @staticmethod
+            def dumps(*args, **kwargs):
+                calls.append(args)
+                return json.dumps(*args, **kwargs)
+
+        rows = [{"round": n, "value": 18.0 + n, "status": "ok"} for n in range(50)]
+        links = {
+            bid: _PreparedLink({"s": [dict(row) for row in rows]})
+            for bid in ("b0", "b1", "b2")
+        }
+        gateway = _prepared_gateway(links, replicas=3)
+        monkeypatch.setattr(gateway_module, "json", CountingJson)
+        try:
+            got = gateway.dispatch({"op": "vote_batch", "batches": [
+                {"series": "s", "rounds": list(range(50)), "modules": ["E1"],
+                 "rows": [[1.0]] * 50}]})
+            got_vote = gateway.dispatch(
+                {"op": "vote", "series": "s", "round": 0, "values": {"E1": 1.0}}
+            )
+        finally:
+            gateway.stop()
+        assert got["results"][0]["results"] == rows
+        assert got_vote["result"] == rows[0]
+        assert calls == []
+
+    def test_disagreement_log_keeps_the_latest_rounds(self):
+        from repro.cluster.gateway import DISAGREEMENT_LOG_SIZE
+
+        n = DISAGREEMENT_LOG_SIZE + 6
+        links = {
+            bid: _PreparedLink({"s": [
+                {"round": r, "value": float(r) + offset, "status": "ok"}
+                for r in range(n)
+            ]})
+            for bid, offset in (("b0", 0.0), ("b1", 0.5))
+        }
+        gateway = _prepared_gateway(links, replicas=2)
+        try:
+            gateway.dispatch({"op": "vote_batch", "batches": [
+                {"series": "s", "rounds": list(range(n)), "modules": ["E1"],
+                 "rows": [[1.0]] * n}]})
+            log = list(gateway._disagreements)
+            assert gateway._obs.replica_disagreements.value == n
+        finally:
+            gateway.stop()
+        assert [e["round"] for e in log] == list(range(6, n))
+        assert all(e["series"] == "s" for e in log)
+        assert log[-1]["answers"] == {
+            bid: link.answers["s"][-1] for bid, link in links.items()
+        }
+
+    def test_concurrent_requests_lose_no_disagreement(self):
+        import sys
+
+        from repro.cluster.gateway import DISAGREEMENT_LOG_SIZE
+
+        n_threads, n_requests, n_rounds = 8, 20, 10
+        links = {
+            bid: _PreparedLink({
+                f"t{t}": [
+                    {"round": r, "value": float(r) + offset, "status": "ok"}
+                    for r in range(n_rounds)
+                ]
+                for t in range(n_threads)
+            })
+            for bid, offset in (("b0", 0.0), ("b1", 0.5))
+        }
+        gateway = _prepared_gateway(links, replicas=2)
+        errors = []
+
+        def run(t):
+            try:
+                for _ in range(n_requests):
+                    gateway.dispatch({"op": "vote_batch", "batches": [
+                        {"series": f"t{t}", "rounds": list(range(n_rounds)),
+                         "modules": ["E1"], "rows": [[1.0]] * n_rounds}]})
+            except Exception as exc:  # noqa: BLE001 - asserted below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(target=run, args=(t,)) for t in range(n_threads)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30.0)
+            assert not any(thread.is_alive() for thread in threads)
+            log = list(gateway._disagreements)
+            counted = gateway._obs.replica_disagreements.value
+        finally:
+            sys.setswitchinterval(interval)
+            gateway.stop()
+        assert errors == []
+        assert counted == n_threads * n_requests * n_rounds
+        assert len(log) == DISAGREEMENT_LOG_SIZE
+        assert all(set(e["answers"]) == {"b0", "b1"} for e in log)

@@ -260,6 +260,19 @@ class TestLiveFiring:
                 )
                 transitions = tick(cluster.gateway)
                 assert [t for _, t in transitions] == ["firing"]
+                # The disagreement log names the round and the victim,
+                # with the skewed answer it gave.
+                (entry,) = client.cluster_stats()["recent_disagreements"]
+                assert (entry["series"], entry["round"]) == (series, 0)
+                assert set(entry["answers"]) == set(
+                    client.route(series)["replicas"]
+                )
+                assert entry["answers"][victim]["value"] > 90.0
+                others = [
+                    answer for bid, answer in entry["answers"].items()
+                    if bid != victim
+                ]
+                assert all(a["value"] < 20.0 for a in others)
                 # No further divergence: the counter stops moving and
                 # the alert resolves instead of wedging firing forever.
                 client.vote(
